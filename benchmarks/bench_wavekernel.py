@@ -20,7 +20,7 @@ def load_backends():
     backends = {}
     backends["python"] = importlib.import_module("rtmcloud.wavekernel._stencil_py")
     try:
-        backends["cython"] = importlib.import_module("rtmcloud.wavekernel._stencil")
+        backends["c"] = importlib.import_module("rtmcloud.wavekernel._stencil")
     except ImportError:
         print("compiled extension not built; benchmarking the fallback only")
     return backends
@@ -70,10 +70,10 @@ def main():
             results[(kind, name)] = rate
             print(f"  {name:>7}: {rate:8.1f} steps/s")
         if len(fields) == 2:
-            diff = np.abs(fields["cython"] - fields["python"]).max()
+            diff = np.abs(fields["c"] - fields["python"]).max()
             scale = np.abs(fields["python"]).max() or 1.0
-            print(f"  max |cython - python| = {diff:.3e} (field scale {scale:.3e})")
-            speedup = results[(kind, "cython")] / results[(kind, "python")]
+            print(f"  max |c - python| = {diff:.3e} (field scale {scale:.3e})")
+            speedup = results[(kind, "c")] / results[(kind, "python")]
             print(f"  speedup: {speedup:.1f}x")
 
 

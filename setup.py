@@ -1,23 +1,12 @@
-import numpy
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [
-            Extension(
-                "rtmcloud.wavekernel._stencil",
-                sources=["src/rtmcloud/wavekernel/_stencil.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        language_level=3,
-    )
-except ImportError:
-    # No Cython at build time: install pure-Python only, the package
-    # falls back to the NumPy kernels at import.
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "rtmcloud.wavekernel._stencil",
+            sources=["src/rtmcloud/wavekernel/_stencil.c"],
+            # No fused multiply-add: fields stay bitwise equal across platforms.
+            extra_compile_args=["-O3", "-ffp-contract=off"],
+        )
+    ]
+)

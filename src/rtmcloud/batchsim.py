@@ -9,6 +9,7 @@ per allocation.
 
 from __future__ import annotations
 
+import csv
 import heapq
 import math
 from dataclasses import dataclass, field, replace
@@ -222,3 +223,19 @@ def idle_cost_curve(
             )
         )
     return rows
+
+
+def write_curve_csv(rows: list[CurveRow], path) -> None:
+    """Write an idle-cost table as CSV, one line per cluster size."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(
+            ["n_vms", "makespan_h", "busy_vmh", "idle_vmh", "fixed_cost",
+             "batch_cost", "ratio", "low_priority_cost"]
+        )
+        for r in rows:
+            w.writerow(
+                [r.n_vms, f"{r.makespan_h:.6f}", f"{r.busy_vmh:.6f}", f"{r.idle_vmh:.6f}",
+                 f"{r.fixed_cost:.2f}", f"{r.batch_cost:.2f}", f"{r.ratio:.4f}",
+                 f"{r.low_priority_cost:.2f}"]
+            )

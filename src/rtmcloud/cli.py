@@ -14,7 +14,7 @@ from . import batchsim, orchestrator
 from .blobstore import BlobStore, encode_image
 from .config import add_config_flags, config_from_args
 from .msgqueue import FileQueue
-from .reducer import ReductionConfig, run_reduction_service
+from .reducer import run_reduction_service
 
 # Reference case study this tool models: 1,500 jobs averaging 119.28 min on
 # $3.629/h VMs.  The headline figure quoted for that workload is $10,750,
@@ -86,15 +86,12 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    cfg = ReductionConfig(
-        total_leaves=args.total_leaves,
-        fan_in=args.fan_in,
-        poll_interval=args.poll_interval,
-        max_parallel_invocations=args.parallel,
-        visibility_seconds=args.visibility,
-        deadline_seconds=args.deadline,
+    config = config_from_args(args)
+    report = run_reduction_service(
+        orchestrator.reduction_config(config),
+        FileQueue(config.queue_root()),
+        BlobStore(config.store_root()),
     )
-    report = run_reduction_service(cfg, FileQueue(args.queue), BlobStore(args.store))
     json.dump(report.to_dict(), sys.stdout, indent=2)
     print()
     return 0
@@ -109,21 +106,7 @@ def _cmd_simulate(args) -> int:
     )
     vm_counts = [int(s) for s in args.vm_counts.split(",")]
     rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing, scale_latency=args.scale_latency)
-
-    import csv as _csv
-
-    with open(args.out, "w", newline="") as f:
-        w = _csv.writer(f)
-        w.writerow(
-            ["n_vms", "makespan_h", "busy_vmh", "idle_vmh", "fixed_cost",
-             "batch_cost", "ratio", "low_priority_cost"]
-        )
-        for r in rows:
-            w.writerow(
-                [r.n_vms, f"{r.makespan_h:.6f}", f"{r.busy_vmh:.6f}", f"{r.idle_vmh:.6f}",
-                 f"{r.fixed_cost:.2f}", f"{r.batch_cost:.2f}", f"{r.ratio:.4f}",
-                 f"{r.low_priority_cost:.2f}"]
-            )
+    batchsim.write_curve_csv(rows, args.out)
     for r in rows:
         extra = ""
         if args.with_master:
@@ -195,6 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("generate", _cmd_generate, "write model and survey files"),
         ("run", _cmd_run, "run the full map+reduce pipeline"),
         ("map", _cmd_map, "run only the map phase"),
+        ("reduce", _cmd_reduce, "run only the reduction service"),
     ]:
         p = sub.add_parser(name, help=doc)
         add_config_flags(p)
@@ -202,17 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--store", dest="store.root", help="blob store root (alias)")
         p.add_argument("--queue", dest="queue.root", help="queue root (alias)")
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("reduce", help="run the reduction service on a queue/store")
-    p.add_argument("--queue", required=True, help="queue root directory")
-    p.add_argument("--store", required=True, help="blob store root directory")
-    p.add_argument("--total-leaves", type=int, required=True)
-    p.add_argument("--fan-in", type=int, default=10)
-    p.add_argument("--parallel", type=int, default=1)
-    p.add_argument("--poll-interval", type=float, default=0.05)
-    p.add_argument("--visibility", type=float, default=120.0)
-    p.add_argument("--deadline", type=float, default=600.0)
-    p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("simulate", help="fixed cluster vs batch pool cost curves")
     p.add_argument("--jobs", type=int, default=1500)

@@ -292,6 +292,20 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
 # full pipeline
 
 
+def reduction_config(config: PipelineConfig) -> ReductionConfig:
+    """Reduction service settings for a pipeline config: one leaf per shot."""
+    return ReductionConfig(
+        total_leaves=config.survey.n_receivers,
+        fan_in=config.reduce.fan_in,
+        poll_interval=config.reduce.poll_interval,
+        max_parallel_invocations=config.reduce.parallel,
+        visibility_seconds=config.queue.visibility_seconds,
+        batch_grace=config.reduce.batch_grace,
+        singleton_grace=config.reduce.singleton_grace,
+        deadline_seconds=config.reduce.deadline,
+    )
+
+
 def run_pipeline(config: PipelineConfig):
     """Map and reduce concurrently; returns (ImageGrid, ReductionReport, CostReport)."""
     out_dir = Path(config.out_dir)
@@ -304,16 +318,7 @@ def run_pipeline(config: PipelineConfig):
         )
 
     n_shots = config.survey.n_receivers
-    red_cfg = ReductionConfig(
-        total_leaves=n_shots,
-        fan_in=config.reduce.fan_in,
-        poll_interval=config.reduce.poll_interval,
-        max_parallel_invocations=config.reduce.parallel,
-        visibility_seconds=config.queue.visibility_seconds,
-        batch_grace=config.reduce.batch_grace,
-        singleton_grace=config.reduce.singleton_grace,
-        deadline_seconds=config.reduce.deadline,
-    )
+    red_cfg = reduction_config(config)
     reduce_out: dict = {}
     abort = threading.Event()
 
@@ -410,18 +415,7 @@ def report(
         vm_counts = _parse_vm_counts(None, len(jobs))
     rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing)
     curve_csv = out_dir / "idle_cost_curve.csv"
-    with open(curve_csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["n_vms", "makespan_h", "busy_vmh", "idle_vmh", "fixed_cost",
-             "batch_cost", "ratio", "low_priority_cost"]
-        )
-        for r in rows:
-            w.writerow(
-                [r.n_vms, f"{r.makespan_h:.6f}", f"{r.busy_vmh:.6f}", f"{r.idle_vmh:.6f}",
-                 f"{r.fixed_cost:.2f}", f"{r.batch_cost:.2f}", f"{r.ratio:.4f}",
-                 f"{r.low_priority_cost:.2f}"]
-            )
+    batchsim.write_curve_csv(rows, curve_csv)
 
     n_head = headline_n_vms or vm_counts[-1]
     n_head = max(1, min(n_head, len(jobs)))

@@ -1,8 +1,8 @@
 """Acoustic wave kernel: forward modeling, adjoint propagation, RTM imaging.
 
-The hot stencil loops live in the compiled ``_stencil`` extension with a
-NumPy fallback (``_stencil_py``) selected at import; everything else is
-orchestration in ``solver``.
+The hot stencil loops live in ``_stencil``, a C extension that setup.py
+builds, with a NumPy fallback (``_stencil_py``) selected at import when it
+is not built; everything else is orchestration in ``solver``.
 """
 
 from ._backend import backend_name
@@ -11,7 +11,6 @@ from .solver import (
     ImageGrid,
     NumericalBlowupError,
     ShotRecord,
-    SourceWavefield,
     Wavelet,
     adjoint_dot_test,
     default_dt,
@@ -26,7 +25,6 @@ __all__ = [
     "ImageGrid",
     "NumericalBlowupError",
     "ShotRecord",
-    "SourceWavefield",
     "Wavelet",
     "adjoint_dot_test",
     "backend_name",

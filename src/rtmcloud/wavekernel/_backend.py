@@ -1,4 +1,4 @@
-"""Kernel backend selection: compiled extension when available, NumPy otherwise.
+"""Kernel backend selection: the C extension when built, NumPy otherwise.
 
 Set RTMCLOUD_PURE_PYTHON=1 to force the NumPy kernels (used by the
 benchmark and for cross-checking the two implementations).
@@ -14,7 +14,7 @@ else:
     try:
         from . import _stencil as impl  # type: ignore[attr-defined]
 
-        BACKEND = "cython"
+        BACKEND = "c"
     except ImportError:
         from . import _stencil_py as impl
 

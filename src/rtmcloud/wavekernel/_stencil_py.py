@@ -1,6 +1,6 @@
 """Pure-NumPy time-step kernels (fallback when the compiled extension is absent).
 
-Same contract as the Cython module ``_stencil``: fourth-order Laplacian in
+Same contract as the C extension ``_stencil``: fourth-order Laplacian in
 space, leapfrog in time, sponge damping folded into the update.  Kernels
 only touch the interior (two-cell halo excluded), so halo cells act as a
 zero Dirichlet rim and stay zero for the whole run.

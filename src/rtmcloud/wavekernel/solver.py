@@ -298,18 +298,6 @@ def _source_active_until(samples: np.ndarray, nt: int) -> int:
     return int(hot.max()) if hot.size else -1
 
 
-class SourceWavefield:
-    """Handle to the stored forward wavefield (one interior frame per step)."""
-
-    def __init__(self, frames: np.ndarray, dt: float):
-        self.frames = frames
-        self.dt = dt
-
-    @property
-    def nt(self) -> int:
-        return self.frames.shape[0]
-
-
 def forward_model(
     model: VelocityModel2D,
     source: tuple,
@@ -320,15 +308,17 @@ def forward_model(
     shot_id: int = 0,
     free_surface: bool = False,
     store_wavefield: bool = True,
-) -> tuple[ShotRecord, SourceWavefield | None]:
-    """Model one shot; returns receiver traces and the stored source wavefield."""
+) -> tuple[ShotRecord, np.ndarray | None]:
+    """Model one shot; returns receiver traces and the stored source wavefield.
+
+    The wavefield is the (nt, nz, nx) array of interior frames, one per
+    step, or None when ``store_wavefield`` is false.
+    """
     if abs(wavelet.dt - dt) > 1e-15:
         raise ValueError(f"wavelet dt {wavelet.dt:g} != simulation dt {dt:g}")
     prop = _Propagator(model, dt, free_surface)
     traces, frames = _run_forward(prop, source, wavelet.samples, receivers, nt, store_wavefield)
-    record = ShotRecord(shot_id, tuple(receivers), dt, nt, traces)
-    handle = SourceWavefield(frames, dt) if store_wavefield else None
-    return record, handle
+    return ShotRecord(shot_id, tuple(receivers), dt, nt, traces), frames
 
 
 def rtm_shot_image(
@@ -390,7 +380,6 @@ __all__ = [
     "Wavelet",
     "ShotRecord",
     "ImageGrid",
-    "SourceWavefield",
     "stable_dt",
     "default_dt",
     "ricker",

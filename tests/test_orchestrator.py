@@ -278,7 +278,8 @@ class TestCli:
             queue.enqueue(QueueMessage(store.put(encode_image(blob)), 1))
         rc = main(
             ["reduce", "--queue", str(tmp_path / "q"), "--store", str(tmp_path / "s"),
-             "--total-leaves", "4", "--fan-in", "4", "--deadline", "30"]
+             "--survey.n_receivers", "4", "--reduce.fan_in", "4", "--reduce.parallel", "1",
+             "--reduce.deadline", "30"]
         )
         assert rc == 0
         report = json.loads(capsys.readouterr().out)

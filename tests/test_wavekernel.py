@@ -1,5 +1,11 @@
 import dataclasses
+import importlib.util
 import math
+import shutil
+import subprocess
+import sys
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +15,13 @@ from rtmcloud.wavekernel import (
     CFLViolationError,
     NumericalBlowupError,
     adjoint_dot_test,
-    backend_name,
     default_dt,
     forward_model,
     ricker,
     rtm_shot_image,
     stable_dt,
 )
-from rtmcloud.wavekernel._backend import impl as active_impl
+from rtmcloud.wavekernel import _stencil_py, solver
 
 from conftest import rel_diff
 
@@ -114,16 +119,16 @@ class TestForwardModel:
         dt = default_dt(model)
         nt = 2000
         wavelet = ricker(15.0, dt, nt)
-        rec, wf = forward_model(model, (300.0, 120.0), wavelet, ((100.0, 100.0),), dt, nt)
+        rec, frames = forward_model(model, (300.0, 120.0), wavelet, ((100.0, 100.0),), dt, nt)
         assert np.isfinite(rec.traces).all()
-        assert np.abs(wf.frames).max() < 1e6
+        assert np.abs(frames).max() < 1e6
 
     def test_bitwise_deterministic(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
-        rec1, wf1 = forward_model(model, source, wavelet, receivers, dt, nt)
-        rec2, wf2 = forward_model(model, source, wavelet, receivers, dt, nt)
+        rec1, frames1 = forward_model(model, source, wavelet, receivers, dt, nt)
+        rec2, frames2 = forward_model(model, source, wavelet, receivers, dt, nt)
         np.testing.assert_array_equal(rec1.traces, rec2.traces)
-        np.testing.assert_array_equal(wf1.frames, wf2.frames)
+        np.testing.assert_array_equal(frames1, frames2)
 
     def test_position_outside_extent_rejected(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
@@ -132,8 +137,8 @@ class TestForwardModel:
 
     def test_wavefield_stored_every_step(self):
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, wf = forward_model(model, source, wavelet, receivers, dt, nt)
-        assert wf.frames.shape == (nt, model.nz, model.nx)
+        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        assert frames.shape == (nt, model.nz, model.nx)
 
 
 def scatterer_case(nz=101, nx=101, sc=(50, 51), rel=0.10):
@@ -205,9 +210,34 @@ class TestAdjoint:
             adjoint_dot_test(model, plan, wavelet_length=100, seed=0)
 
 
-@pytest.mark.skipif(backend_name() != "cython", reason="compiled backend not built")
+@pytest.fixture(scope="session")
+def c_stencil(tmp_path_factory):
+    """The C kernels: the importable build, else one setup.py builds for the session."""
+    try:
+        from rtmcloud.wavekernel import _stencil
+
+        return _stencil
+    except ImportError:
+        pass
+    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(compiler) is None:
+        pytest.skip(f"no C compiler ({compiler}) to build the extension")
+    build = tmp_path_factory.mktemp("stencil_build")
+    proc = subprocess.run(
+        [sys.executable, "setup.py", "build_ext",
+         "--build-lib", str(build), "--build-temp", str(build / "tmp")],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (path,) = (build / "rtmcloud" / "wavekernel").glob("_stencil*")
+    spec = importlib.util.spec_from_file_location("rtmcloud.wavekernel._stencil", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBackendParity:
-    """The NumPy fallback and the compiled kernels implement one contract."""
+    """The NumPy fallback and the C kernels implement one contract."""
 
     def _fields(self, n=64, seed=3):
         rng = np.random.default_rng(seed)
@@ -222,25 +252,56 @@ class TestBackendParity:
         mask[2:-2, 2:-2] *= 1.0 - 1e-3 * rng.random((n - 4, n - 4))
         return prv, cur, nxt, w, vdt2, mask
 
-    def test_forward_step_matches(self):
-        from rtmcloud.wavekernel import _stencil_py
-
+    def test_forward_step_matches(self, c_stencil):
         a = self._fields()
         b = tuple(x.copy() for x in a)
-        active_impl.forward_step(a[0], a[1], a[2], a[4], a[5], 0.01, 0.01)
+        c_stencil.forward_step(a[0], a[1], a[2], a[4], a[5], 0.01, 0.01)
         _stencil_py.forward_step(b[0], b[1], b[2], b[4], b[5], 0.01, 0.01)
         assert rel_diff(a[2], b[2]) < 1e-13
         assert rel_diff(a[1], b[1]) < 1e-13
 
-    def test_adjoint_step_matches(self):
-        from rtmcloud.wavekernel import _stencil_py
-
+    def test_adjoint_step_matches(self, c_stencil):
         a = self._fields(seed=4)
         b = tuple(x.copy() for x in a)
-        active_impl.adjoint_step(a[0], a[1], a[2], a[3], a[4], a[5], 0.01, 0.01)
+        c_stencil.adjoint_step(a[0], a[1], a[2], a[3], a[4], a[5], 0.01, 0.01)
         _stencil_py.adjoint_step(b[0], b[1], b[2], b[3], b[4], b[5], 0.01, 0.01)
         assert rel_diff(a[2], b[2]) < 1e-13
         assert rel_diff(a[0], b[0]) < 1e-13
+
+    def test_shot_image_matches(self, c_stencil, monkeypatch):
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        plan = ShotGatherPlan(0, source, receivers)
+        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
+        images = []
+        for impl in (c_stencil, _stencil_py):
+            monkeypatch.setattr(solver, "impl", impl)
+            images.append(rtm_shot_image(model, plan, rec, wavelet).values)
+        assert np.abs(images[1]).max() > 0
+        assert rel_diff(images[0], images[1]) < 1e-13
+
+    @pytest.mark.parametrize(
+        "bad_mask",
+        [
+            lambda m: m.astype(np.float32),
+            lambda m: np.repeat(m, 2, axis=1)[:, ::2],
+            lambda m: m[:, :-1].copy(),
+        ],
+        ids=["float32", "non_contiguous", "shape_mismatch"],
+    )
+    def test_bad_field_rejected(self, c_stencil, bad_mask):
+        prv, cur, nxt, w, vdt2, mask = self._fields(n=16)
+        mask = bad_mask(mask)
+        cur_before = cur.copy()
+        fields = (prv, cur, nxt, w, vdt2, mask)
+        refs = [sys.getrefcount(x) for x in fields]
+        with pytest.raises(ValueError):
+            c_stencil.forward_step(prv, cur, nxt, vdt2, mask, 0.01, 0.01)
+        with pytest.raises(ValueError):
+            c_stencil.adjoint_step(prv, cur, nxt, w, vdt2, mask, 0.01, 0.01)
+        np.testing.assert_array_equal(cur, cur_before)
+        assert not nxt.any() and not prv.any()
+        # every buffer taken, the bad field's included, was released again
+        assert [sys.getrefcount(x) for x in fields] == refs
 
 
 class TestBlobSerialization:
