@@ -3,14 +3,16 @@
 
 Runs the forward and adjoint time-step kernels on a padded grid and reports
 steps/second per backend plus the speedup.  The two backends implement the
-same contract (see rtmcloud.wavekernel._stencil_py), so this is also a quick
-sanity check that both produce matching fields.
+same contract (see rtmcloud.wavekernel._stencil_py) term for term, so this
+is also a check that both produce bitwise-equal fields; the script exits
+non-zero when they differ.
 
 Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300]
 """
 
 import argparse
 import importlib
+import sys
 import time
 
 import numpy as np
@@ -61,6 +63,7 @@ def main():
 
     backends = load_backends()
     results = {}
+    mismatch = False
     for kind in ("forward", "adjoint"):
         print(f"\n{kind} step, {args.n}x{args.n} grid, {args.steps} steps")
         fields = {}
@@ -70,11 +73,13 @@ def main():
             results[(kind, name)] = rate
             print(f"  {name:>7}: {rate:8.1f} steps/s")
         if len(fields) == 2:
-            diff = np.abs(fields["c"] - fields["python"]).max()
-            scale = np.abs(fields["python"]).max() or 1.0
-            print(f"  max |c - python| = {diff:.3e} (field scale {scale:.3e})")
+            equal = np.array_equal(fields["c"], fields["python"])
+            mismatch |= not equal
+            print(f"  bitwise equal: {'yes' if equal else 'no'}")
             speedup = results[(kind, "c")] / results[(kind, "python")]
             print(f"  speedup: {speedup:.1f}x")
+    if mismatch:
+        sys.exit("the C and NumPy kernels produced different fields")
 
 
 if __name__ == "__main__":

@@ -142,12 +142,12 @@ def migrate_shot(config: PipelineConfig, shot_id: int) -> ImageGrid:
         true_model, plan.source, wavelet, plan.receivers, dt, nt,
         shot_id=shot_id, store_wavefield=False,
     )
-    rec_bg, _ = forward_model(
-        model, plan.source, wavelet, plan.receivers, dt, nt,
-        shot_id=shot_id, store_wavefield=False,
+    # The background run also stores the source wavefield the image needs.
+    rec_bg, frames = forward_model(
+        model, plan.source, wavelet, plan.receivers, dt, nt, shot_id=shot_id
     )
     observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
-    return rtm_shot_image(model, plan, observed, wavelet)
+    return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
 
 
 # ---------------------------------------------------------------------------

@@ -93,12 +93,13 @@ static PyObject *adjoint_step(PyObject *self, PyObject *const *args, Py_ssize_t 
     for (Py_ssize_t i = 2; i < nz - 2; i++)
         for (Py_ssize_t k = i * nx + 2; k < (i + 1) * nx - 2; k++)
             w[k] = vdt2[k] * mask[k] * cur[k];
+    /* Two sweeps: a loop that stores to both nxt and prv is not vectorized. */
     for (Py_ssize_t i = 2; i < nz - 2; i++)
-        for (Py_ssize_t k = i * nx + 2; k < (i + 1) * nx - 2; k++) {
-            double damped = mask[k] * cur[k];
-            nxt[k] = 2.0 * damped - mask[k] * prv[k] + laplacian(w, k, nx, inv[0], inv[1]);
-            prv[k] = damped;
-        }
+        for (Py_ssize_t k = i * nx + 2; k < (i + 1) * nx - 2; k++)
+            nxt[k] = 2.0 * (mask[k] * cur[k]) - mask[k] * prv[k] + laplacian(w, k, nx, inv[0], inv[1]);
+    for (Py_ssize_t i = 2; i < nz - 2; i++)
+        for (Py_ssize_t k = i * nx + 2; k < (i + 1) * nx - 2; k++)
+            prv[k] = mask[k] * cur[k];
     release(v, 6);
     Py_RETURN_NONE;
 }

@@ -4,6 +4,12 @@ Same contract as the C extension ``_stencil``: fourth-order Laplacian in
 space, leapfrog in time, sponge damping folded into the update.  Kernels
 only touch the interior (two-cell halo excluded), so halo cells act as a
 zero Dirichlet rim and stay zero for the whole run.
+
+The kernels make no full-grid temporaries: every ufunc writes through
+``out=`` into three interior-sized scratch planes, and the result goes into
+the interior of ``nxt`` with one final write.  Every operation follows the
+C kernel's order term for term, so the fields are bitwise equal to
+``_stencil``'s.
 """
 
 import numpy as np
@@ -13,18 +19,31 @@ _C1 = 4.0 / 3.0
 _C2 = -1.0 / 12.0
 
 
-def _laplacian(u: np.ndarray, inv_dz2: float, inv_dx2: float) -> np.ndarray:
-    uzz = (
-        _C2 * (u[:-4, 2:-2] + u[4:, 2:-2])
-        + _C1 * (u[1:-3, 2:-2] + u[3:-1, 2:-2])
-        + _C0 * u[2:-2, 2:-2]
-    )
-    uxx = (
-        _C2 * (u[2:-2, :-4] + u[2:-2, 4:])
-        + _C1 * (u[2:-2, 1:-3] + u[2:-2, 3:-1])
-        + _C0 * u[2:-2, 2:-2]
-    )
-    return uzz * inv_dz2 + uxx * inv_dx2
+def _scratch(a):
+    # One block, not three arrays: after the first call malloc serves it
+    # from the heap instead of mapping and faulting in fresh pages.
+    return np.empty((3, a.shape[0] - 4, a.shape[1] - 4))
+
+
+def _axis_term(out, tmp, far, near, mid):
+    """out = C2*(far[0]+far[1]) + C1*(near[0]+near[1]) + C0*mid, using tmp."""
+    np.add(far[0], far[1], out=out)
+    out *= _C2
+    np.add(near[0], near[1], out=tmp)
+    tmp *= _C1
+    out += tmp
+    np.multiply(mid, _C0, out=tmp)
+    out += tmp
+
+
+def _laplacian(u, out, tmp_a, tmp_b, inv_dz2, inv_dx2):
+    """out = uzz*inv_dz2 + uxx*inv_dx2 on the interior of ``u``."""
+    mid = u[2:-2, 2:-2]
+    _axis_term(tmp_a, tmp_b, (u[:-4, 2:-2], u[4:, 2:-2]), (u[1:-3, 2:-2], u[3:-1, 2:-2]), mid)
+    tmp_a *= inv_dz2
+    _axis_term(out, tmp_b, (u[2:-2, :-4], u[2:-2, 4:]), (u[2:-2, 1:-3], u[2:-2, 3:-1]), mid)
+    out *= inv_dx2
+    out += tmp_a
 
 
 def forward_step(prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2):
@@ -33,10 +52,13 @@ def forward_step(prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2):
     Also damps ``cur`` in place (it becomes the previous field of the next
     step, which carries one factor of the sponge mask).
     """
-    lap = _laplacian(cur, inv_dz2, inv_dx2)
-    nxt[2:-2, 2:-2] = mask[2:-2, 2:-2] * (
-        2.0 * cur[2:-2, 2:-2] - prv[2:-2, 2:-2] + vdt2[2:-2, 2:-2] * lap
-    )
+    lap, a, b = _scratch(cur)
+    _laplacian(cur, lap, a, b, inv_dz2, inv_dx2)
+    lap *= vdt2[2:-2, 2:-2]
+    np.multiply(cur[2:-2, 2:-2], 2.0, out=a)
+    a -= prv[2:-2, 2:-2]
+    lap += a
+    np.multiply(lap, mask[2:-2, 2:-2], out=nxt[2:-2, 2:-2])
     cur[2:-2, 2:-2] *= mask[2:-2, 2:-2]
 
 
@@ -46,8 +68,13 @@ def adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2):
     Computes nxt = 2*mask*cur - mask*prv + lap(vdt2*mask*cur) and replaces
     ``prv`` with mask*cur in place; ``w`` is caller-provided scratch.
     """
-    w[2:-2, 2:-2] = vdt2[2:-2, 2:-2] * mask[2:-2, 2:-2] * cur[2:-2, 2:-2]
-    lap = _laplacian(w, inv_dz2, inv_dx2)
-    damped_cur = mask[2:-2, 2:-2] * cur[2:-2, 2:-2]
-    nxt[2:-2, 2:-2] = 2.0 * damped_cur - mask[2:-2, 2:-2] * prv[2:-2, 2:-2] + lap
-    prv[2:-2, 2:-2] = damped_cur
+    lap, a, b = _scratch(cur)
+    m, p, wi = mask[2:-2, 2:-2], prv[2:-2, 2:-2], w[2:-2, 2:-2]
+    np.multiply(vdt2[2:-2, 2:-2], m, out=wi)
+    wi *= cur[2:-2, 2:-2]
+    _laplacian(w, lap, a, b, inv_dz2, inv_dx2)
+    np.multiply(m, p, out=a)
+    np.multiply(m, cur[2:-2, 2:-2], out=p)
+    np.multiply(p, 2.0, out=b)
+    b -= a
+    np.add(lap, b, out=nxt[2:-2, 2:-2])

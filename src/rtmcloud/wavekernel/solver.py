@@ -327,20 +327,33 @@ def rtm_shot_image(
     observed: ShotRecord,
     wavelet: Wavelet,
     free_surface: bool = False,
+    *,
+    frames: np.ndarray | None = None,
 ) -> ImageGrid:
     """Migrate one shot: zero-lag cross-correlation of source and adjoint fields.
 
     Correlation starts once the source signature has died out, which keeps
     the sharp injection footprint at the shot location out of the image.
+
+    ``frames`` is the stored source wavefield that ``forward_model`` returns
+    for this model, plan, wavelet and ``free_surface``, shaped
+    ``(observed.nt, model.nz, model.nx)``.  Passing it saves the forward
+    propagation that would otherwise recompute the same frames; the image
+    is the same either way.
     """
     if tuple(observed.receivers) != tuple(plan.receivers):
         raise ValueError("observed record receivers do not match the shot plan")
     if abs(wavelet.dt - observed.dt) > 1e-15:
         raise ValueError("wavelet dt does not match the observed record dt")
+    if frames is not None and frames.shape != (observed.nt, model.nz, model.nx):
+        raise ValueError(
+            f"frames shape {frames.shape} != (nt={observed.nt}, nz={model.nz}, nx={model.nx})"
+        )
     prop = _Propagator(model, observed.dt, free_surface)
-    _, frames = _run_forward(
-        prop, plan.source, wavelet.samples, plan.receivers, observed.nt, store_frames=True
-    )
+    if frames is None:
+        _, frames = _run_forward(
+            prop, plan.source, wavelet.samples, plan.receivers, observed.nt, store_frames=True
+        )
     _, image = _run_adjoint(
         prop,
         plan.receivers,

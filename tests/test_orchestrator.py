@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import os
 import signal
 import threading
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from rtmcloud.blobstore import BlobStore, decode_image
 from rtmcloud.cli import build_parser, main
 from rtmcloud.config import PipelineConfig, config_from_args, config_from_dict, load_config
 from rtmcloud.msgqueue import FileQueue, QueueMessage
-from rtmcloud.wavekernel import forward_model, ricker, rtm_shot_image
+from rtmcloud.wavekernel import forward_model, ricker, rtm_shot_image, solver
 
 from conftest import rel_diff
 
@@ -185,6 +188,63 @@ class TestPipeline:
         FileQueue(cfg.queue_root()).enqueue(QueueMessage("0" * 64, 1))
         with pytest.raises(RuntimeError):
             orchestrator.run_pipeline(cfg)
+
+
+def _counting(impl, calls):
+    """Kernels that step like ``impl`` and count each call by name in ``calls``."""
+
+    def counted(name):
+        step = getattr(impl, name)
+
+        def call(*args):
+            calls[name] += 1
+            step(*args)
+
+        return call
+
+    return SimpleNamespace(forward_step=counted("forward_step"), adjoint_step=counted("adjoint_step"))
+
+
+@pytest.fixture(scope="class")
+def shot_runs(tmp_path_factory):
+    """Shot 1 migrated by ``migrate_shot`` and by the explicit composition of
+    four propagations, with the image and kernel calls of each."""
+    cfg = tiny_config(tmp_path_factory.mktemp("shot"))
+    model, true_model, plans, dt, nt = orchestrator.build_survey(cfg)
+    plan = plans[1]
+    wavelet = ricker(cfg.wavelet.peak_frequency, dt, nt)
+
+    def four_propagations():
+        records = [
+            forward_model(m, plan.source, wavelet, plan.receivers, dt, nt, shot_id=1,
+                          store_wavefield=False)[0]
+            for m in (true_model, model)
+        ]
+        observed = dataclasses.replace(records[0], traces=records[0].traces - records[1].traces)
+        return rtm_shot_image(model, plan, observed, wavelet)
+
+    runs = {}
+    for name, run in (("migrate_shot", lambda: orchestrator.migrate_shot(cfg, 1)),
+                      ("composed", four_propagations)):
+        calls = Counter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "impl", _counting(solver.impl, calls))
+            runs[name] = (run().values, calls)
+    return nt, runs
+
+
+class TestMigrateShot:
+    def test_background_propagated_once(self, shot_runs):
+        nt, runs = shot_runs
+        assert runs["composed"][1]["forward_step"] == 3 * nt
+        assert runs["migrate_shot"][1]["forward_step"] == 2 * nt
+        assert runs["migrate_shot"][1]["adjoint_step"] == runs["composed"][1]["adjoint_step"] > 0
+
+    def test_image_equals_four_propagations(self, shot_runs):
+        _, runs = shot_runs
+        image, composed = runs["migrate_shot"][0], runs["composed"][0]
+        assert np.abs(image).max() > 0
+        np.testing.assert_array_equal(image, composed)
 
 
 class TestStackLinearity:

@@ -23,8 +23,6 @@ from rtmcloud.wavekernel import (
 )
 from rtmcloud.wavekernel import _stencil_py, solver
 
-from conftest import rel_diff
-
 
 class TestRicker:
     def test_peak_amplitude_one_at_expected_time(self):
@@ -190,6 +188,18 @@ class TestRtmShotImage:
         with pytest.raises(ValueError):
             rtm_shot_image(model, plan, rec, wavelet)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["nt", "nz", "nx"])
+    def test_frames_shape_mismatch_rejected(self, monkeypatch, axis):
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        plan = ShotGatherPlan(0, source, receivers)
+        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        shape = list(frames.shape)
+        shape[axis] -= 1
+        # no kernels: propagating anything would raise AttributeError instead
+        monkeypatch.setattr(solver, "impl", None)
+        with pytest.raises(ValueError, match="frames shape"):
+            rtm_shot_image(model, plan, rec, wavelet, frames=np.zeros(shape))
+
 
 class TestAdjoint:
     def test_dot_test_small_grid(self):
@@ -250,6 +260,7 @@ class TestBackendParity:
         mask = np.ones((n, n))
         mask[:2] = mask[-2:] = mask[:, :2] = mask[:, -2:] = 0.0
         mask[2:-2, 2:-2] *= 1.0 - 1e-3 * rng.random((n - 4, n - 4))
+        prv[2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4))
         return prv, cur, nxt, w, vdt2, mask
 
     def test_forward_step_matches(self, c_stencil):
@@ -257,16 +268,16 @@ class TestBackendParity:
         b = tuple(x.copy() for x in a)
         c_stencil.forward_step(a[0], a[1], a[2], a[4], a[5], 0.01, 0.01)
         _stencil_py.forward_step(b[0], b[1], b[2], b[4], b[5], 0.01, 0.01)
-        assert rel_diff(a[2], b[2]) < 1e-13
-        assert rel_diff(a[1], b[1]) < 1e-13
+        np.testing.assert_array_equal(a[2], b[2])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_adjoint_step_matches(self, c_stencil):
         a = self._fields(seed=4)
         b = tuple(x.copy() for x in a)
         c_stencil.adjoint_step(a[0], a[1], a[2], a[3], a[4], a[5], 0.01, 0.01)
         _stencil_py.adjoint_step(b[0], b[1], b[2], b[3], b[4], b[5], 0.01, 0.01)
-        assert rel_diff(a[2], b[2]) < 1e-13
-        assert rel_diff(a[0], b[0]) < 1e-13
+        np.testing.assert_array_equal(a[2], b[2])
+        np.testing.assert_array_equal(a[0], b[0])
 
     def test_shot_image_matches(self, c_stencil, monkeypatch):
         model, source, receivers, wavelet, dt, nt = small_setup()
@@ -277,7 +288,7 @@ class TestBackendParity:
             monkeypatch.setattr(solver, "impl", impl)
             images.append(rtm_shot_image(model, plan, rec, wavelet).values)
         assert np.abs(images[1]).max() > 0
-        assert rel_diff(images[0], images[1]) < 1e-13
+        np.testing.assert_array_equal(images[0], images[1])
 
     @pytest.mark.parametrize(
         "bad_mask",
@@ -291,7 +302,7 @@ class TestBackendParity:
     def test_bad_field_rejected(self, c_stencil, bad_mask):
         prv, cur, nxt, w, vdt2, mask = self._fields(n=16)
         mask = bad_mask(mask)
-        cur_before = cur.copy()
+        prv_before, cur_before = prv.copy(), cur.copy()
         fields = (prv, cur, nxt, w, vdt2, mask)
         refs = [sys.getrefcount(x) for x in fields]
         with pytest.raises(ValueError):
@@ -299,7 +310,8 @@ class TestBackendParity:
         with pytest.raises(ValueError):
             c_stencil.adjoint_step(prv, cur, nxt, w, vdt2, mask, 0.01, 0.01)
         np.testing.assert_array_equal(cur, cur_before)
-        assert not nxt.any() and not prv.any()
+        np.testing.assert_array_equal(prv, prv_before)
+        assert not nxt.any()
         # every buffer taken, the bad field's included, was released again
         assert [sys.getrefcount(x) for x in fields] == refs
 
