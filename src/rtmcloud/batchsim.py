@@ -4,7 +4,9 @@ Jobs are placed FCFS in job-id order in both modes and run identical
 schedules; the modes differ only in billing.  A fixed cluster bills every
 VM from t=0 to the makespan (stragglers leave the rest idle), while the
 batch pool bills each VM only while its job runs plus a scale-up latency
-per allocation.
+per allocation.  Each job is billed for its own runtime, so the batch cost
+does not depend on the pool size: a sweep over cluster sizes prices the batch
+pool once and places the fixed cluster once per size.
 """
 
 from __future__ import annotations
@@ -205,11 +207,19 @@ def idle_cost_curve(
     pricing: PricingModel,
     scale_latency: float = 0.0,
 ) -> list[CurveRow]:
-    """Fixed-vs-batch cost table over a sweep of cluster sizes."""
+    """Fixed-vs-batch cost table over a sweep of cluster sizes.
+
+    The batch pool is priced once, at ``vm_counts[0]``: its bill does not
+    depend on the pool size, and placing it there raises the same
+    ``ValueError`` as the fixed cluster for a size below the widest job.
+    """
+    if not vm_counts:
+        return []
+    batch = simulate_batch_pool(jobs, vm_counts[0], pricing, scale_latency)
+    low_priority_cost = apply_low_priority(batch, pricing).cost
     rows = []
     for n in vm_counts:
         fixed = simulate_fixed_cluster(jobs, n, pricing)
-        batch = simulate_batch_pool(jobs, n, pricing, scale_latency)
         rows.append(
             CurveRow(
                 n_vms=n,
@@ -219,7 +229,7 @@ def idle_cost_curve(
                 fixed_cost=fixed.cost,
                 batch_cost=batch.cost,
                 ratio=fixed.cost / batch.cost,
-                low_priority_cost=apply_low_priority(batch, pricing).cost,
+                low_priority_cost=low_priority_cost,
             )
         )
     return rows

@@ -12,7 +12,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_type_hints
 
 
 @dataclass(frozen=True)
@@ -109,24 +109,13 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-# argparse type for keys whose default (None) does not reveal one
-_NONE_TYPES = {
-    "survey.dt_record": float,
-    "store.root": str,
-    "queue.root": str,
-    "report.vm_counts": str,
-}
-
-
 def _from_dict(cls, data: dict):
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
         value = data[f.name]
-        if dataclasses.is_dataclass(f.type) or (
-            isinstance(f.default_factory, type) and dataclasses.is_dataclass(f.default_factory)
-        ):
+        if _section(f):
             kwargs[f.name] = _from_dict(f.default_factory, value)
         elif isinstance(value, list):
             kwargs[f.name] = tuple(value)
@@ -149,36 +138,33 @@ def config_from_dict(data: dict) -> PipelineConfig:
     return _from_dict(PipelineConfig, data)
 
 
+def _section(f) -> bool:
+    """A field holding a nested config dataclass rather than a leaf value."""
+    sub = f.default_factory
+    return isinstance(sub, type) and dataclasses.is_dataclass(sub)
+
+
 def _walk(cls, prefix: str = ""):
+    """Yield (dotted name, owning dataclass, field) for every leaf."""
     for f in dataclasses.fields(cls):
-        sub = f.default_factory if f.default_factory is not dataclasses.MISSING else None
         dotted = f"{prefix}{f.name}"
-        if isinstance(sub, type) and dataclasses.is_dataclass(sub):
-            yield from _walk(sub, dotted + ".")
+        if _section(f):
+            yield from _walk(f.default_factory, dotted + ".")
         else:
-            yield dotted, f
+            yield dotted, cls, f
 
 
-def _leaf_type(dotted: str, f) -> type:
-    if dotted in _NONE_TYPES:
-        return _NONE_TYPES[dotted]
-    if f.default is dataclasses.MISSING:
-        return str
-    if isinstance(f.default, bool):
-        return bool
-    if isinstance(f.default, int):
-        return int
-    if isinstance(f.default, float):
-        return float
-    if isinstance(f.default, tuple):
-        return tuple
-    return str
+def _leaf_type(cls, f) -> type:
+    """The argparse type of a leaf: its annotation, minus any ``| None``."""
+    hint = get_type_hints(cls)[f.name]
+    members = [t for t in get_args(hint) if t is not type(None)]
+    return members[0] if members else hint
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="FILE", help="pipeline config JSON")
-    for dotted, f in _walk(PipelineConfig):
-        typ = _leaf_type(dotted, f)
+    for dotted, cls, f in _walk(PipelineConfig):
+        typ = _leaf_type(cls, f)
         if typ is tuple:
             parser.add_argument(
                 f"--{dotted}",
@@ -196,7 +182,7 @@ def add_config_flags(parser: argparse.ArgumentParser) -> None:
 def config_from_args(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config(getattr(args, "config", None))
     data = cfg.to_dict()
-    for dotted, _ in _walk(PipelineConfig):
+    for dotted, _, _ in _walk(PipelineConfig):
         value = getattr(args, dotted, None)
         if value is None:
             continue

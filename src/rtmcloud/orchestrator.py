@@ -419,17 +419,16 @@ def report(
 
     n_head = headline_n_vms or vm_counts[-1]
     n_head = max(1, min(n_head, len(jobs)))
-    fixed = batchsim.simulate_fixed_cluster(jobs, n_head, pricing)
-    batch = batchsim.simulate_batch_pool(jobs, n_head, pricing)
+    head = batchsim.idle_cost_curve(jobs, [n_head], pricing)[0]
     return CostReport(
         n_jobs=len(jobs),
         mean_runtime_minutes=mean_minutes,
         headline_n_vms=n_head,
-        fixed_cost=fixed.cost,
-        batch_cost=batch.cost,
-        ratio=fixed.cost / batch.cost,
-        low_priority_cost=batchsim.apply_low_priority(batch, pricing).cost,
-        makespan_hours=fixed.makespan,
+        fixed_cost=head.fixed_cost,
+        batch_cost=head.batch_cost,
+        ratio=head.ratio,
+        low_priority_cost=head.low_priority_cost,
+        makespan_hours=head.makespan_h,
         runtimes_csv=str(runtimes_csv),
         curve_csv=str(curve_csv),
     )

@@ -1,7 +1,7 @@
 """Kernel backend selection: the C extension when built, NumPy otherwise.
 
-Set RTMCLOUD_PURE_PYTHON=1 to force the NumPy kernels (used by the
-benchmark and for cross-checking the two implementations).
+Set RTMCLOUD_PURE_PYTHON=1 to use the NumPy kernels even when the C
+extension is built.
 """
 
 import os

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rtmcloud import batchsim
 from rtmcloud.batchsim import (
+    CurveRow,
     JobSpec,
     PricingModel,
     RuntimeDistribution,
@@ -163,6 +165,65 @@ class TestIdleCostCurve:
 durations_strategy = st.lists(
     st.floats(0.02, 8.0, allow_nan=False, allow_infinity=False), min_size=1, max_size=12
 )
+
+
+def curve_row_by_size(jobs, n, pricing, scale_latency=0.0):
+    """One curve row built from both placements at size ``n``."""
+    fixed = simulate_fixed_cluster(jobs, n, pricing)
+    batch = simulate_batch_pool(jobs, n, pricing, scale_latency)
+    return CurveRow(
+        n_vms=n,
+        makespan_h=fixed.makespan,
+        busy_vmh=fixed.busy_vm_hours,
+        idle_vmh=fixed.idle_vm_hours,
+        fixed_cost=fixed.cost,
+        batch_cost=batch.cost,
+        ratio=fixed.cost / batch.cost,
+        low_priority_cost=apply_low_priority(batch, pricing).cost,
+    )
+
+
+class TestCurvePlacements:
+    def test_batch_pool_placed_once_per_sweep(self, monkeypatch):
+        calls = []
+        place = batchsim._fcfs_schedule
+
+        def counting(jobs, n_vms):
+            calls.append(n_vms)
+            return place(jobs, n_vms)
+
+        monkeypatch.setattr(batchsim, "_fcfs_schedule", counting)
+        sweep = [4, 1, 9, 2, 9]
+        idle_cost_curve(jobs_from([1.0, 2.0, 0.5, 3.0]), sweep, EXACT)
+        assert len(calls) == len(sweep) + 1
+        assert sorted(calls) == sorted(sweep + [sweep[0]])
+
+    @given(
+        durations=durations_strategy,
+        widths=st.lists(st.integers(1, 3), min_size=1),
+        extra_sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
+        scale_latency=st.sampled_from([0.0, 45.0, 600.0]),
+        granularity=st.sampled_from([0.0, 1.0, 60.0]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_per_size_placement(
+        self, durations, widths, extra_sizes, scale_latency, granularity
+    ):
+        jobs = [JobSpec(i, d, widths[i % len(widths)]) for i, d in enumerate(durations)]
+        pricing = PricingModel(3.629, 2.5, billing_granularity=granularity)
+        widest = max(j.vms_per_job for j in jobs)
+        sweep = [widest + k for k in extra_sizes]
+        rows = idle_cost_curve(jobs, sweep, pricing, scale_latency)
+        assert rows == [curve_row_by_size(jobs, n, pricing, scale_latency) for n in sweep]
+
+    @pytest.mark.parametrize("sweep", [[2, 5], [5, 2]])
+    def test_size_below_widest_job_rejected(self, sweep):
+        jobs = [JobSpec(0, 1.0, vms_per_job=3), JobSpec(1, 0.5)]
+        with pytest.raises(ValueError, match="^2 VMs cannot run a job needing 3$"):
+            idle_cost_curve(jobs, sweep, EXACT)
+
+    def test_empty_sweep(self):
+        assert idle_cost_curve(jobs_from([1.0]), [], EXACT) == []
 
 
 class TestScheduleProperties:

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rtmcloud import orchestrator
+from rtmcloud import batchsim, orchestrator
 from rtmcloud.batchsim import PricingModel
 from rtmcloud.blobstore import BlobStore, decode_image
 from rtmcloud.cli import build_parser, main
@@ -70,6 +70,17 @@ class TestConfig:
         path.write_text(json.dumps(base))
         args = build_parser().parse_args(["run", "--config", str(path), "--model.nz", "88"])
         assert config_from_args(args).model.nz == 88
+
+    def test_flag_types_follow_annotations(self):
+        # both fields default to None; the flag type comes from the annotation
+        args = build_parser().parse_args(
+            ["run", "--survey.dt_record", "0.001", "--report.vm_counts", "1,2"]
+        )
+        assert getattr(args, "survey.dt_record") == 0.001
+        assert getattr(args, "report.vm_counts") == "1,2"
+        cfg = config_from_args(args)
+        assert type(cfg.survey.dt_record) is float
+        assert type(cfg.report.vm_counts) is str
 
     def test_store_queue_roots_default_under_out_dir(self, tmp_path):
         cfg = tiny_config(tmp_path)
@@ -287,6 +298,26 @@ class TestReport:
             "n_vms,makespan_h,busy_vmh,idle_vmh,fixed_cost,batch_cost,ratio,low_priority_cost"
         )
 
+    def test_headline_read_from_curve(self, tmp_path):
+        # size 3 lies outside the sweep, so the headline is its own curve row
+        traces = self.traces([400.0, 130.5, 3600.0, 61.2, 900.0, 45.0, 2200.0])
+        pricing = PricingModel(3.629, 2.5, billing_granularity=60.0)
+        cost = orchestrator.report(
+            traces, pricing, out_dir=tmp_path, vm_counts=[1, 2, 4], headline_n_vms=3
+        )
+        jobs = [batchsim.JobSpec(t.shot_id, t.wall_seconds / 3600.0) for t in traces]
+        head = batchsim.idle_cost_curve(jobs, [3], pricing)[0]
+        assert cost.headline_n_vms == 3
+        assert (
+            cost.fixed_cost, cost.batch_cost, cost.ratio, cost.low_priority_cost,
+            cost.makespan_hours,
+        ) == (
+            head.fixed_cost, head.batch_cost, head.ratio, head.low_priority_cost,
+            head.makespan_h,
+        )
+        sizes = [r.split(",")[0] for r in (tmp_path / "idle_cost_curve.csv").read_text().split()]
+        assert sizes == ["n_vms", "1", "2", "4"]
+
     def test_empty_traces_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             orchestrator.report([], PricingModel(1.0), out_dir=tmp_path)
@@ -318,6 +349,38 @@ class TestCli:
         vals = dict(zip(header.split(","), row.split(",")))
         assert float(vals["batch_cost"]) == pytest.approx(10_821.678, rel=0.01)
         assert float(vals["makespan_h"]) == pytest.approx(29.82, rel=0.02)
+
+    def test_simulate_billing_flags(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        rc = main(
+            ["simulate", "--jobs", "40", "--mean-minutes", "30", "--spread", "0.3",
+             "--seed", "11", "--rate", "2.0", "--vm-counts", "2,5,16",
+             "--scale-latency", "45", "--vms-per-job", "2", "--granularity", "60",
+             "--discount-factor", "2.5", "--with-master", "--out", str(out)]
+        )
+        assert rc == 0
+        durations = batchsim.sample_runtimes(batchsim.RuntimeDistribution(30.0, 0.3, 11), 40)
+        jobs = [batchsim.JobSpec(i, d, vms_per_job=2) for i, d in enumerate(durations)]
+        pricing = PricingModel(2.0, 2.5, billing_granularity=60.0)
+        batch = batchsim.simulate_batch_pool(jobs, 2, pricing, scale_latency=45.0)
+        low = batchsim.apply_low_priority(batch, pricing)
+        csv_rows, printed = [], []
+        for n in (2, 5, 16):
+            fixed = batchsim.simulate_fixed_cluster(jobs, n, pricing)
+            master = batchsim.simulate_fixed_cluster(jobs, n, pricing, extra_master_vm=True)
+            ratio = fixed.cost / batch.cost
+            csv_rows.append(
+                f"{n},{fixed.makespan:.6f},{fixed.busy_vm_hours:.6f},"
+                f"{fixed.idle_vm_hours:.6f},{fixed.cost:.2f},{batch.cost:.2f},"
+                f"{ratio:.4f},{low.cost:.2f}"
+            )
+            printed.append(
+                f"n_vms={n}: makespan {fixed.makespan:.2f} h, fixed ${fixed.cost:.2f}, "
+                f"batch ${batch.cost:.2f}, ratio {ratio:.3f}, "
+                f"low-priority ${low.cost:.2f}, fixed+master ${master.cost:.2f}"
+            )
+        assert out.read_text().splitlines()[1:] == csv_rows
+        assert capsys.readouterr().out.splitlines() == printed + [f"curve written to {out}"]
 
     def test_report_paper_numbers(self, tmp_path, capsys):
         rc = main(["report", "--paper-numbers", "--out-dir", str(tmp_path / "rep")])
