@@ -2,29 +2,35 @@
 """Benchmark the compiled stencil kernels against the pure-NumPy fallback.
 
 Runs the forward and adjoint time-step kernels on a padded grid and reports
-steps/second per backend plus the speedup.  The two backends implement the
-same contract (see rtmcloud.wavekernel._stencil_py) term for term, so this
-is also a check that both produce bitwise-equal fields; the script exits
-non-zero when they differ.
+steps/second per backend plus the speedup.  The C kernels come from the same
+loader every run uses (compiled on first use, see rtmcloud.wavekernel._backend).
+The two backends implement the same contract (see
+rtmcloud.wavekernel._stencil_py) term for term, so this is also a check that
+both produce bitwise-equal fields; the script exits non-zero when they differ.
+``--json`` appends the result, with the commit, backend and nproc, to
+BENCH_kernel.json at the repository root.
 
-Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300]
+Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--json]
 """
 
 import argparse
-import importlib
+import os
 import sys
 import time
 
 import numpy as np
+from trajectory import ROOT, append_entry, commit
+
+from rtmcloud.wavekernel import _backend, _stencil_py, backend_name
 
 
 def load_backends():
-    backends = {}
-    backends["python"] = importlib.import_module("rtmcloud.wavekernel._stencil_py")
-    try:
-        backends["c"] = importlib.import_module("rtmcloud.wavekernel._stencil")
-    except ImportError:
-        print("compiled extension not built; benchmarking the fallback only")
+    backends = {"python": _stencil_py}
+    module, reason = _backend.load_stencil()
+    if module is None:
+        print(f"C kernels unavailable ({reason}); benchmarking the fallback only")
+    else:
+        backends["c"] = module
     return backends
 
 
@@ -59,6 +65,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=301, help="padded grid size (n x n)")
     ap.add_argument("--steps", type=int, default=300)
+    ap.add_argument("--json", action="store_true", help="append the result to BENCH_kernel.json")
     args = ap.parse_args()
 
     backends = load_backends()
@@ -78,6 +85,16 @@ def main():
             print(f"  bitwise equal: {'yes' if equal else 'no'}")
             speedup = results[(kind, "c")] / results[(kind, "python")]
             print(f"  speedup: {speedup:.1f}x")
+    if args.json:
+        append_entry("BENCH_kernel.json", {
+            "commit": commit(ROOT),
+            "backend": backend_name(),
+            "nproc": len(os.sched_getaffinity(0)),
+            "n": args.n,
+            "steps": args.steps,
+            "steps_per_s": {f"{kind}.{name}": rate for (kind, name), rate in results.items()},
+            "bitwise_equal": not mismatch if len(backends) == 2 else None,
+        })
     if mismatch:
         sys.exit("the C and NumPy kernels produced different fields")
 

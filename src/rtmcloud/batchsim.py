@@ -149,12 +149,20 @@ def simulate_fixed_cluster(
     times = _fcfs_schedule(jobs, n_vms)
     makespan = max(end for _, _, end in times)
     busy = sum(j.duration * j.vms_per_job for j in jobs)
-    billed_vms = n_vms + (1 if extra_master_vm else 0)
-    billed = billed_vms * pricing.bill_hours(makespan)
-    return ScheduleResult(
-        "fixed", n_vms, makespan, busy, billed - busy, billed, billed * pricing.on_demand_rate,
-        tuple(times),
-    )
+    billed, cost = fixed_cluster_bill(n_vms, makespan, pricing, extra_master_vm)
+    return ScheduleResult("fixed", n_vms, makespan, busy, billed - busy, billed, cost, tuple(times))
+
+
+def fixed_cluster_bill(
+    n_vms: int, makespan: float, pricing: PricingModel, extra_master_vm: bool = False
+) -> tuple[float, float]:
+    """Billed VM-hours and cost of a fixed cluster that runs ``makespan`` hours.
+
+    Every VM is billed from t=0 to the makespan, and with ``extra_master_vm``
+    one more collector VM is billed for the same interval.
+    """
+    billed = (n_vms + (1 if extra_master_vm else 0)) * pricing.bill_hours(makespan)
+    return billed, billed * pricing.on_demand_rate
 
 
 def simulate_batch_pool(

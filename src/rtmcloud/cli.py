@@ -10,11 +10,14 @@ import json
 import sys
 from pathlib import Path
 
-from . import batchsim, orchestrator
+from . import batchsim
 from .blobstore import BlobStore, encode_image
 from .config import add_config_flags, config_from_args
 from .msgqueue import FileQueue
 from .reducer import run_reduction_service
+
+# orchestrator, and with it the compiled wave kernel, is imported inside the
+# commands that use it, so `rtm simulate` never loads or compiles the kernel.
 
 # Reference case study this tool models: 1,500 jobs averaging 119.28 min on
 # $3.629/h VMs.  The headline figure quoted for that workload is $10,750,
@@ -24,6 +27,8 @@ _REFERENCE = {"jobs": 1500, "mean_minutes": 119.28, "rate": 3.629, "quoted_cost"
 
 
 def _cmd_generate(args) -> int:
+    from . import orchestrator
+
     config = config_from_args(args)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -55,6 +60,8 @@ def _fmt_dollars(cost: float) -> str:
 
 
 def _cmd_run(args) -> int:
+    from . import orchestrator
+
     config = config_from_args(args)
     image, red, cost = orchestrator.run_pipeline(config)
     peak = float(abs(image.values).max())
@@ -74,6 +81,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    from . import orchestrator
+
     config = config_from_args(args)
     traces = orchestrator.run_map_phase(config)
     for t in traces:
@@ -86,6 +95,8 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from . import orchestrator
+
     config = config_from_args(args)
     report = run_reduction_service(
         orchestrator.reduction_config(config),
@@ -110,10 +121,10 @@ def _cmd_simulate(args) -> int:
     for r in rows:
         extra = ""
         if args.with_master:
-            fixed_m = batchsim.simulate_fixed_cluster(
-                jobs, r.n_vms, pricing, extra_master_vm=True
+            _, master = batchsim.fixed_cluster_bill(
+                r.n_vms, r.makespan_h, pricing, extra_master_vm=True
             )
-            extra = f", fixed+master ${fixed_m.cost:.2f}"
+            extra = f", fixed+master ${master:.2f}"
         print(
             f"n_vms={r.n_vms}: makespan {r.makespan_h:.2f} h, fixed ${r.fixed_cost:.2f}, "
             f"batch ${r.batch_cost:.2f}, ratio {r.ratio:.3f}, "
@@ -138,6 +149,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from . import orchestrator
+
     pricing = batchsim.PricingModel(args.rate, args.discount_factor)
     if args.paper_numbers:
         traces = orchestrator.synthetic_reference_traces()

@@ -34,7 +34,15 @@ from .survey import (
     make_layered_model,
     make_random_obn_geometry,
 )
-from .wavekernel import ImageGrid, forward_model, ricker, rtm_shot_image, stable_dt
+from .wavekernel import (
+    ImageGrid,
+    backend_name,
+    backend_reason,
+    forward_model,
+    ricker,
+    rtm_shot_image,
+    stable_dt,
+)
 
 _POLL = 0.05
 
@@ -56,6 +64,8 @@ class JobTrace:
     wall_seconds: float
     blob_id: str
     attempt: int = 1
+    backend: str | None = None  # the worker's backend_name(), and why when "python"
+    backend_reason: str | None = None
 
     def __post_init__(self):
         if self.end < self.start:
@@ -196,7 +206,8 @@ def _map_worker(config_dict: dict, out_dir: str) -> None:
             blob_id = store.put_image(image.to_blob(leaf_count=1))
             queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
             end = time.time()
-            trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt)
+            trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
+                             backend_name(), backend_reason())
             _atomic_write_json(dirs["done"] / f"{shot_id:05d}.json", trace.to_dict())
             os.unlink(claimed_path)
         except Exception:
@@ -360,6 +371,7 @@ def run_pipeline(config: PipelineConfig):
     )
 
     (out_dir / "final_image.rtmb").write_bytes(encode_image(final_blob))
+    reasons = sorted({t.backend_reason for t in traces if t.backend_reason})
     _atomic_write_json(
         out_dir / "report.json",
         {
@@ -367,6 +379,11 @@ def run_pipeline(config: PipelineConfig):
             "cost": cost.to_dict(),
             "final_image_blob": report_red.final_blob_id,
             "n_shots": n_shots,
+            # the kernels the map workers ran, which made every image
+            "backend": {
+                "name": "+".join(sorted({t.backend for t in traces})),
+                "reason": "; ".join(reasons) or None,
+            },
         },
     )
     return final_image, report_red, cost

@@ -1,11 +1,13 @@
 """Acoustic wave kernel: forward modeling, adjoint propagation, RTM imaging.
 
-The hot stencil loops live in ``_stencil``, a C extension that setup.py
-builds, with a NumPy fallback (``_stencil_py``) selected at import when it
-is not built; everything else is orchestration in ``solver``.
+The hot stencil loops live in ``_stencil.c``, a C extension that ``_backend``
+compiles on first use into a per-user cache, with a NumPy fallback
+(``_stencil_py``) selected at import when it cannot be compiled or loaded;
+``backend_name()`` and ``backend_reason()`` say which runs and why.
+Everything else is orchestration in ``solver``.
 """
 
-from ._backend import backend_name
+from ._backend import backend_name, backend_reason
 from .solver import (
     CFLViolationError,
     ImageGrid,
@@ -28,6 +30,7 @@ __all__ = [
     "Wavelet",
     "adjoint_dot_test",
     "backend_name",
+    "backend_reason",
     "default_dt",
     "forward_model",
     "ricker",

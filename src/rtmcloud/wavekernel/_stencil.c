@@ -2,7 +2,7 @@
  *
  * Mirrors _stencil_py term for term; see that module for the contract.
  * Every field arrives through the buffer protocol and must be a writable,
- * C-contiguous, 2-D float64 array of the first field's shape.  setup.py
+ * C-contiguous, 2-D float64 array of the first field's shape.  _backend.py
  * builds this file with -ffp-contract=off, so no multiply-add is fused and
  * the fields come out the same on every platform.
  */

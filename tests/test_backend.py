@@ -1,0 +1,158 @@
+"""The kernel loader: compile on first use, cache by key, fall back with a reason.
+
+Each import runs in a fresh interpreter with its own XDG_CACHE_HOME, because
+the loader decides once, when ``rtmcloud.wavekernel`` is first imported.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import pytest
+
+from rtmcloud.wavekernel import _backend
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+SUFFIX = _backend._EXT_SUFFIX
+PROBE = (
+    "import json; from rtmcloud.wavekernel import _backend as b; "
+    "print(json.dumps([b.backend_name(), b.backend_reason(), getattr(b.impl, '__file__', None)]))"
+)
+
+
+def probe(tmp_path, *, path=None, src=SRC, **env):
+    """(backend name, reason, kernel file) as a fresh ``import rtmcloud`` sees them."""
+    full = {k: v for k, v in os.environ.items() if k != "RTMCLOUD_PURE_PYTHON"}
+    full.update(XDG_CACHE_HOME=str(tmp_path / "cache"), PYTHONPATH=str(src))
+    full.update(env)
+    if path is not None:
+        full["PATH"] = str(path)
+    proc = subprocess.run([sys.executable, "-c", PROBE], env=full, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def no_compiler_path(tmp_path):
+    """A PATH on which neither gcc nor cc can be found."""
+    bare = tmp_path / "bare-bin"
+    bare.mkdir(exist_ok=True)
+    return bare
+
+
+def cached_files(tmp_path):
+    return sorted(p.name for p in (tmp_path / "cache" / "rtmcloud").iterdir())
+
+
+def test_first_import_compiles_into_cache(tmp_path):
+    name, reason, kernel = probe(tmp_path)
+    assert (name, reason) == ("c", None)
+    (only,) = cached_files(tmp_path)  # the kernel, and no temp file
+    assert only.startswith("_stencil-") and only.endswith(SUFFIX)
+    assert kernel == str(tmp_path / "cache" / "rtmcloud" / only)
+
+
+def test_cache_hit_needs_no_compiler(tmp_path):
+    _, _, kernel = probe(tmp_path)
+    built = os.stat(kernel).st_mtime_ns
+    assert probe(tmp_path, path=no_compiler_path(tmp_path)) == ["c", None, kernel]
+    assert os.stat(kernel).st_mtime_ns == built
+
+
+def test_no_compiler_falls_back_with_reason(tmp_path):
+    name, reason, _ = probe(tmp_path, path=no_compiler_path(tmp_path))
+    assert (name, reason) == ("python", _backend.NO_COMPILER)
+    assert cached_files(tmp_path) == []
+
+
+def test_failed_compile_falls_back_with_stderr(tmp_path):
+    fake = tmp_path / "fake-bin"
+    fake.mkdir()
+    (fake / "gcc").write_text("#!/bin/sh\necho 'fatal: fake compiler' >&2\nexit 3\n")
+    (fake / "gcc").chmod(0o755)
+    name, reason, _ = probe(tmp_path, path=fake)
+    assert name == "python"
+    assert reason.startswith("gcc exited 3") and "fatal: fake compiler" in reason
+    assert cached_files(tmp_path) == []  # the temp output was removed
+
+
+def test_failed_load_falls_back_with_reason(tmp_path):
+    cache = tmp_path / "cache" / "rtmcloud"
+    cache.mkdir(parents=True, mode=0o700)
+    key = _backend.cache_key(Path(_backend.SOURCE).read_bytes())
+    (cache / f"_stencil-{key}{SUFFIX}").write_bytes(b"not a shared object")
+    name, reason, _ = probe(tmp_path)
+    assert name == "python" and reason.startswith("ImportError")
+
+
+def test_pure_python_forced(tmp_path):
+    name, reason, _ = probe(tmp_path, RTMCLOUD_PURE_PYTHON="1")
+    assert (name, reason) == ("python", "RTMCLOUD_PURE_PYTHON=1")
+    assert not (tmp_path / "cache").exists()  # no compile was tried
+
+
+def test_concurrent_first_imports_leave_one_kernel(tmp_path):
+    with ThreadPoolExecutor(2) as pool:
+        results = list(pool.map(lambda _: probe(tmp_path), range(2)))
+    assert [r[0] for r in results] == ["c", "c"]
+    assert len(cached_files(tmp_path)) == 1
+
+
+def test_unwritable_home_cache_uses_private_temp_dir(tmp_path):
+    (tmp_path / "not-a-dir").write_text("")
+    tmp = tmp_path / "tmp"
+    tmp.mkdir()
+    name, _, kernel = probe(tmp_path, XDG_CACHE_HOME=str(tmp_path / "not-a-dir"), TMPDIR=str(tmp))
+    private = tmp / f"rtmcloud-{os.getuid()}"
+    assert name == "c" and Path(kernel).parent == private
+    assert private.stat().st_mode & 0o777 == 0o700
+
+
+def test_cache_key_covers_source_flags_and_abi():
+    source = Path(_backend.SOURCE).read_bytes()
+    key = _backend.cache_key(source)
+    assert key == _backend.cache_key(source, _backend.CFLAGS, SUFFIX)
+    assert _backend.cache_key(source + b"\n") != key
+    assert _backend.cache_key(source, _backend.CFLAGS.replace("-O3", "-O2")) != key
+    assert _backend.cache_key(source, abi=".cpython-399-x86_64-linux-gnu.so") != key
+
+
+@pytest.mark.parametrize("mode", [0o770, 0o707])
+def test_shared_cache_dir_refused(tmp_path, mode):
+    probe(tmp_path)
+    cache = tmp_path / "cache" / "rtmcloud"
+    cache.chmod(mode)
+    name, reason, _ = probe(tmp_path)
+    assert name == "python"
+    assert reason.startswith("refusing cache directory") and "writable by group or others" in reason
+
+
+def test_shared_kernel_file_refused(tmp_path):
+    _, _, kernel = probe(tmp_path)
+    os.chmod(kernel, 0o775)
+    name, reason, _ = probe(tmp_path)
+    assert name == "python" and reason.startswith("refusing cached kernel")
+
+
+def test_foreign_owner_refused(tmp_path, monkeypatch):
+    tmp_path.chmod(0o700)
+    assert _backend.untrusted(str(tmp_path)) is None
+    uid = os.getuid()
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    assert f"owned by uid {uid}" in _backend.untrusted(str(tmp_path))
+
+
+def test_stale_in_tree_build_ignored(tmp_path):
+    """A stale extension built in place next to _stencil.c is never imported."""
+    _, _, kernel = probe(tmp_path)
+    tree = tmp_path / "src"
+    shutil.copytree(SRC / "rtmcloud", tree / "rtmcloud",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    stale = tree / "rtmcloud" / "wavekernel" / f"_stencil{SUFFIX}"
+    shutil.copy(kernel, stale)
+    name, _, loaded = probe(tmp_path, src=tree)
+    assert name == "c" and loaded == kernel

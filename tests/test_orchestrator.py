@@ -16,7 +16,14 @@ from rtmcloud.blobstore import BlobStore, decode_image
 from rtmcloud.cli import build_parser, main
 from rtmcloud.config import PipelineConfig, config_from_args, config_from_dict, load_config
 from rtmcloud.msgqueue import FileQueue, QueueMessage
-from rtmcloud.wavekernel import forward_model, ricker, rtm_shot_image, solver
+from rtmcloud.wavekernel import (
+    backend_name,
+    backend_reason,
+    forward_model,
+    ricker,
+    rtm_shot_image,
+    solver,
+)
 
 from conftest import rel_diff
 
@@ -177,6 +184,8 @@ class TestPipeline:
         assert (tmp_path / "out" / "final_image.rtmb").exists()
         final_blob = decode_image((tmp_path / "out" / "final_image.rtmb").read_bytes())
         assert final_blob.leaf_count == 4
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["backend"] == {"name": backend_name(), "reason": backend_reason()}
 
     def test_single_shot_identity(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=1, workers=1)
@@ -193,6 +202,16 @@ class TestPipeline:
         assert red.invocations, "expected summing invocations"
         first_sum = min(e["time"] for e in red.invocations)
         assert first_sum < max(ends)
+
+    def test_fallback_end_to_end(self, tmp_path, monkeypatch):
+        # the spawned map workers inherit the variable and run the NumPy kernels
+        monkeypatch.setenv("RTMCLOUD_PURE_PYTHON", "1")
+        cfg = tiny_config(tmp_path, n_shots=2, workers=2)
+        image, _, _ = orchestrator.run_pipeline(cfg)
+        iz, ix = np.unravel_index(np.argmax(np.abs(image.values)), image.values.shape)
+        assert abs(iz - 30) <= 3 and abs(ix - 31) <= 3  # the scatterer at z=300, x=310
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["backend"] == {"name": "python", "reason": "RTMCLOUD_PURE_PYTHON=1"}
 
     def test_dirty_queue_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=1)
@@ -381,6 +400,24 @@ class TestCli:
             )
         assert out.read_text().splitlines()[1:] == csv_rows
         assert capsys.readouterr().out.splitlines() == printed + [f"curve written to {out}"]
+
+    def test_simulate_with_master_places_once_per_size(self, tmp_path, monkeypatch):
+        calls = []
+        place = batchsim._fcfs_schedule
+
+        def counting(jobs, n_vms):
+            calls.append(n_vms)
+            return place(jobs, n_vms)
+
+        monkeypatch.setattr(batchsim, "_fcfs_schedule", counting)
+        sweep = [3, 8, 20, 40]
+        rc = main(
+            ["simulate", "--jobs", "40", "--mean-minutes", "30", "--seed", "5",
+             "--vm-counts", ",".join(map(str, sweep)), "--with-master",
+             "--out", str(tmp_path / "curve.csv")]
+        )
+        assert rc == 0
+        assert len(calls) == len(sweep) + 1
 
     def test_report_paper_numbers(self, tmp_path, capsys):
         rc = main(["report", "--paper-numbers", "--out-dir", str(tmp_path / "rep")])

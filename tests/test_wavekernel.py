@@ -1,11 +1,6 @@
 import dataclasses
-import importlib.util
 import math
-import shutil
-import subprocess
 import sys
-import sysconfig
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +16,7 @@ from rtmcloud.wavekernel import (
     rtm_shot_image,
     stable_dt,
 )
-from rtmcloud.wavekernel import _stencil_py, solver
+from rtmcloud.wavekernel import _backend, _stencil_py, solver
 
 
 class TestRicker:
@@ -221,28 +216,12 @@ class TestAdjoint:
 
 
 @pytest.fixture(scope="session")
-def c_stencil(tmp_path_factory):
-    """The C kernels: the importable build, else one setup.py builds for the session."""
-    try:
-        from rtmcloud.wavekernel import _stencil
-
-        return _stencil
-    except ImportError:
-        pass
-    compiler = (sysconfig.get_config_var("CC") or "cc").split()[0]
-    if shutil.which(compiler) is None:
-        pytest.skip(f"no C compiler ({compiler}) to build the extension")
-    build = tmp_path_factory.mktemp("stencil_build")
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext",
-         "--build-lib", str(build), "--build-temp", str(build / "tmp")],
-        cwd=Path(__file__).resolve().parents[1], capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    (path,) = (build / "rtmcloud" / "wavekernel").glob("_stencil*")
-    spec = importlib.util.spec_from_file_location("rtmcloud.wavekernel._stencil", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+def c_stencil():
+    """The C kernels, from the loader every run uses; skips only with no C compiler."""
+    module, reason = _backend.load_stencil()
+    if reason == _backend.NO_COMPILER:
+        pytest.skip(reason)
+    assert module is not None, reason
     return module
 
 
