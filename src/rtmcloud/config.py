@@ -56,8 +56,6 @@ class ReduceConfig:
     fan_in: int = 10
     parallel: int = 2
     poll_interval: float = 0.05
-    batch_grace: float = 0.25
-    singleton_grace: float = 0.5
     deadline: float = 600.0
 
 

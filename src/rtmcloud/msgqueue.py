@@ -52,11 +52,10 @@ class QueueMessage:
 
 @dataclass(frozen=True)
 class Receipt:
-    """Claim on a dequeued message, valid until ``deadline`` (monotonic-free epoch seconds)."""
+    """Claim on a dequeued message: its name and where it sits in ``inflight/``."""
 
     name: str
     inflight_path: Path
-    deadline: float
 
 
 def _utcnow_iso() -> str:
@@ -102,10 +101,7 @@ class FileQueue:
                 continue
             if deadline <= now:
                 # Lost race with delete() or another reclaimer is fine.
-                try:
-                    os.replace(self.inflight_dir / entry, self.visible_dir / name)
-                except FileNotFoundError:
-                    pass
+                self.release(Receipt(name, self.inflight_dir / entry))
 
     @staticmethod
     def _list(path: Path) -> list[str]:
@@ -131,7 +127,6 @@ class FileQueue:
         for name in self._list(self.visible_dir):
             if len(claimed) >= max_messages:
                 break
-            deadline = time.time() + visibility_timeout
             deadline_ns = time.time_ns() + int(visibility_timeout * 1e9)
             target = self.inflight_dir / f"{name}@{deadline_ns}.{secrets.token_hex(4)}"
             try:
@@ -139,7 +134,7 @@ class FileQueue:
             except FileNotFoundError:
                 continue  # another consumer won the claim
             msg = QueueMessage.from_json(target.read_text())
-            claimed.append((msg, Receipt(name, target, deadline)))
+            claimed.append((msg, Receipt(name, target)))
         return claimed
 
     def delete(self, receipt: Receipt) -> None:
@@ -160,6 +155,18 @@ class FileQueue:
         if any(entry.startswith(prefix) for entry in self._list(self.inflight_dir)):
             raise StaleReceiptError(receipt.name)
         # Fully gone: a competing delete won; treat as success.
+
+    def release(self, receipt: Receipt) -> None:
+        """Make a claimed message visible again at once (visibility timeout 0).
+
+        A receipt whose window expired (the message was reclaimed, perhaps
+        claimed again) or whose message was deleted names no file any more,
+        so releasing it does nothing: a message never comes back twice.
+        """
+        try:
+            os.replace(receipt.inflight_path, self.visible_dir / receipt.name)
+        except FileNotFoundError:
+            pass
 
     def approximate_count(self) -> int:
         """Visible plus in-flight messages; may lag under concurrency."""

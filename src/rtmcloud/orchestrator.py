@@ -311,8 +311,6 @@ def reduction_config(config: PipelineConfig) -> ReductionConfig:
         poll_interval=config.reduce.poll_interval,
         max_parallel_invocations=config.reduce.parallel,
         visibility_seconds=config.queue.visibility_seconds,
-        batch_grace=config.reduce.batch_grace,
-        singleton_grace=config.reduce.singleton_grace,
         deadline_seconds=config.reduce.deadline,
     )
 

@@ -5,6 +5,10 @@ referenced grids, store the partial sum, and enqueue its reference; the
 recursion ends when a message's leaf_count reaches the expected shot count.
 Each message carries the number of original per-shot leaves merged into its
 blob, so no global coordinator is needed for termination.
+
+The rule, applied on every poll with no state kept between polls: claim up to
+``fan_in`` messages; a message holding every leaf ends the run, two or more
+are summed at once, and a lone one is released straight back to the queue.
 """
 
 from __future__ import annotations
@@ -12,12 +16,12 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .blobstore import KIND_IMAGE, BlobStore, encode_image
-from .msgqueue import FileQueue, QueueMessage, StaleReceiptError
+from .msgqueue import FileQueue, QueueMessage
 
 
 class LeafOvercountError(RuntimeError):
@@ -44,10 +48,6 @@ class ReductionConfig:
     poll_interval: float = 0.05
     max_parallel_invocations: int = 1
     visibility_seconds: float = 120.0
-    # How long a worker sits on a partial batch / lone message before acting
-    # anyway; keeps batches full while the map phase is still producing.
-    batch_grace: float = 0.25
-    singleton_grace: float = 0.5
     deadline_seconds: float = 600.0
 
     def __post_init__(self):
@@ -67,12 +67,7 @@ class ReductionReport:
     invocations: list = field(default_factory=list)  # per-invocation log dicts
 
     def to_dict(self) -> dict:
-        return {
-            "invocation_count": self.invocation_count,
-            "final_blob_id": self.final_blob_id,
-            "wall_time": self.wall_time,
-            "invocations": self.invocations,
-        }
+        return asdict(self)
 
 
 def reduce_step(messages: list[QueueMessage], store: BlobStore) -> QueueMessage:
@@ -111,88 +106,64 @@ class _ServiceState:
         self.max_leaf_seen = 0
 
 
-def _worker_loop(cfg: ReductionConfig, queue: FileQueue, store: BlobStore, state: _ServiceState, deadline: float):
-    pending: list[tuple[QueueMessage, object]] = []
-    last_growth = time.monotonic()
-    # Unsynchronized jitter keeps parallel invocations from rotating lone
-    # partial sums in lockstep (each re-claiming its own release forever).
-    jitter = random.Random()
+def _poll(cfg: ReductionConfig, queue: FileQueue, store: BlobStore, state: _ServiceState) -> bool:
+    """Claim up to ``fan_in`` messages and act on them; True when it summed.
 
-    def release_pending():
-        for msg, receipt in pending:
-            queue.enqueue(msg)
-            try:
-                queue.delete(receipt)
-            except StaleReceiptError:
-                pass
-        pending.clear()
-
+    Everything this poll claimed is released before it returns or raises
+    (a no-op for what it deleted), so an invocation never holds a message
+    between polls.
+    """
+    held = queue.dequeue(cfg.fan_in, cfg.visibility_seconds)
     try:
-        while not state.stop.is_set():
-            if time.monotonic() > deadline:
-                return
-            want = cfg.fan_in - len(pending)
-            got = queue.dequeue(want, cfg.visibility_seconds) if want > 0 else []
-            if got:
-                pending.extend(got)
-                last_growth = time.monotonic()
-
-            for msg, receipt in got:
-                state.max_leaf_seen = max(state.max_leaf_seen, msg.leaf_count)
-                if msg.leaf_count > cfg.total_leaves:
-                    raise LeafOvercountError(
-                        f"message claims {msg.leaf_count} leaves but only "
-                        f"{cfg.total_leaves} exist; a redelivered partial sum "
-                        "was merged twice"
-                    )
-                if msg.leaf_count == cfg.total_leaves:
-                    with state.lock:
-                        if state.final is None:
-                            state.final = msg
-                    queue.delete(receipt)
-                    pending.remove((msg, receipt))
-                    state.stop.set()
-                    release_pending()
-                    return
-
-            leaves_held = sum(m.leaf_count for m, _ in pending)
-            waited = time.monotonic() - last_growth
-            if len(pending) >= 2 and (
-                len(pending) == cfg.fan_in
-                or leaves_held == cfg.total_leaves
-                or waited > cfg.batch_grace
-            ):
-                msgs = [m for m, _ in pending]
-                out = reduce_step(msgs, store)
+        for msg, receipt in held:
+            state.max_leaf_seen = max(state.max_leaf_seen, msg.leaf_count)
+            if msg.leaf_count > cfg.total_leaves:
+                raise LeafOvercountError(
+                    f"message claims {msg.leaf_count} leaves but only "
+                    f"{cfg.total_leaves} exist; a redelivered partial sum "
+                    "was merged twice"
+                )
+            if msg.leaf_count == cfg.total_leaves:
                 with state.lock:
-                    state.invocations.append(
-                        {
-                            "time": time.time(),
-                            "inputs": [m.leaf_count for m in msgs],
-                            "output": out.leaf_count,
-                        }
-                    )
-                queue.enqueue(out)
-                for _, receipt in pending:
-                    queue.delete(receipt)
-                pending.clear()
-                last_growth = time.monotonic()
-                continue
+                    if state.final is None:
+                        state.final = msg
+                queue.delete(receipt)
+                state.stop.set()
+                return False
+        if len(held) < 2:
+            return False
+        msgs = [m for m, _ in held]
+        out = reduce_step(msgs, store)
+        with state.lock:
+            state.invocations.append(
+                {
+                    "time": time.time(),
+                    "inputs": [m.leaf_count for m in msgs],
+                    "output": out.leaf_count,
+                }
+            )
+        queue.enqueue(out)
+        for _, receipt in held:
+            queue.delete(receipt)
+        return True
+    finally:
+        for _, receipt in held:
+            queue.release(receipt)
 
-            if len(pending) == 1 and waited > cfg.singleton_grace * jitter.uniform(0.5, 1.5):
-                # Another invocation may hold the complementary partial; put
-                # this one back in circulation instead of sitting on it, then
-                # back off so a peer gets first pick.
-                release_pending()
-                last_growth = time.monotonic()
-                time.sleep(cfg.poll_interval * jitter.uniform(1.0, 4.0))
-            time.sleep(cfg.poll_interval * jitter.uniform(0.5, 1.5))
+
+def _worker_loop(cfg: ReductionConfig, queue: FileQueue, store: BlobStore, state: _ServiceState, deadline: float):
+    # Unsynchronized jitter keeps parallel invocations from splitting the
+    # last two partials between them on every poll in lockstep.
+    jitter = random.Random()
+    try:
+        while not state.stop.is_set() and time.monotonic() <= deadline:
+            if not _poll(cfg, queue, store, state):
+                state.stop.wait(cfg.poll_interval * jitter.uniform(0.5, 1.5))
     except BaseException as exc:
         with state.lock:
             if state.error is None:
                 state.error = exc
         state.stop.set()
-        release_pending()
 
 
 def run_reduction_service(

@@ -119,7 +119,7 @@ def test_criterion_4_reduction_correctness(tmp_path):
         cfg = ReductionConfig(
             total_leaves=n_leaves, fan_in=10, poll_interval=0.01,
             max_parallel_invocations=4, visibility_seconds=60.0,
-            batch_grace=0.05, singleton_grace=0.1, deadline_seconds=120.0,
+            deadline_seconds=120.0,
         )
         rep = run_reduction_service(cfg, queue, store)
         final = store.get_image(rep.final_blob_id)
@@ -131,7 +131,7 @@ def test_criterion_4_reduction_correctness(tmp_path):
         cfg_seq = ReductionConfig(
             total_leaves=n_leaves, fan_in=10, poll_interval=0.01,
             max_parallel_invocations=1, visibility_seconds=60.0,
-            batch_grace=0.05, singleton_grace=0.1, deadline_seconds=120.0,
+            deadline_seconds=120.0,
         )
         rep_seq = run_reduction_service(cfg_seq, queue, store)
         expected = math.ceil((n_leaves - 1) / 9)
@@ -206,8 +206,7 @@ def _e2e_config(tmp_path, tag):
     data["scatterer"].update(z=500.0, x=510.0)
     data["map"]["workers"] = 2
     data["reduce"].update(
-        {"fan_in": 4, "parallel": 2, "poll_interval": 0.02, "batch_grace": 0.1,
-         "singleton_grace": 0.2, "deadline": 240.0}
+        {"fan_in": 4, "parallel": 2, "poll_interval": 0.02, "deadline": 240.0}
     )
     return config_from_dict(data)
 

@@ -80,6 +80,39 @@ def test_double_delete_is_safe(queue):
     assert queue.approximate_count() == 0
 
 
+def test_released_message_dequeued_again_at_once(queue):
+    queue.enqueue(msg(1))
+    ((m, receipt),) = queue.dequeue(1, visibility_timeout=30)
+    queue.release(receipt)
+    ((again, _),) = queue.dequeue(1, visibility_timeout=30)
+    assert again == m
+
+
+@pytest.mark.parametrize("redelivered_to", ["visible", "other_consumer"])
+def test_release_with_expired_receipt_keeps_one_copy(queue, redelivered_to):
+    queue.enqueue(msg(1))
+    ((_, stale),) = queue.dequeue(1, visibility_timeout=0.1)
+    time.sleep(0.2)
+    ((_, fresh),) = queue.dequeue(1, visibility_timeout=30)  # redelivered
+    if redelivered_to == "visible":
+        queue.release(fresh)
+    queue.release(stale)
+    assert queue.approximate_count() == 1
+    if redelivered_to == "other_consumer":
+        assert queue.dequeue(1, visibility_timeout=30) == []  # still claimed
+        queue.delete(fresh)
+        assert queue.approximate_count() == 0
+
+
+def test_release_after_delete_is_noop(queue):
+    queue.enqueue(msg(1))
+    ((_, receipt),) = queue.dequeue(1, visibility_timeout=30)
+    queue.delete(receipt)
+    queue.release(receipt)
+    assert queue.approximate_count() == 0
+    assert queue.dequeue(1, visibility_timeout=30) == []
+
+
 def test_approximate_count_sequence(queue):
     for i in range(5):
         queue.enqueue(msg(i))

@@ -36,7 +36,7 @@ def tiny_config(tmp_path, n_shots=2, workers=1, **reduce_kw):
     data["scatterer"].update(z=300.0, x=310.0)
     data["map"]["workers"] = workers
     data["reduce"].update(
-        {"poll_interval": 0.02, "batch_grace": 0.1, "singleton_grace": 0.2, "deadline": 120.0}
+        {"poll_interval": 0.02, "deadline": 120.0}
     )
     data["reduce"].update(reduce_kw)
     return config_from_dict(data)

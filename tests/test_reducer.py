@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from rtmcloud.blobstore import BlobNotFoundError, ImageBlob, encode_image
-from rtmcloud.msgqueue import QueueMessage
+from rtmcloud import reducer
+from rtmcloud.msgqueue import FileQueue, QueueMessage
 from rtmcloud.reducer import (
     IncompleteReductionError,
     LeafOvercountError,
@@ -79,8 +80,6 @@ def service_config(total, **kw):
         poll_interval=0.01,
         max_parallel_invocations=1,
         visibility_seconds=30.0,
-        batch_grace=0.05,
-        singleton_grace=0.1,
         deadline_seconds=60.0,
     )
     defaults.update(kw)
@@ -154,6 +153,71 @@ class TestReductionService:
         cfg = service_config(5, deadline_seconds=30.0)
         with pytest.raises(IncompleteReductionError):
             run_reduction_service(cfg, queue, store, stop_event=stop)
+
+    @pytest.mark.parametrize("stop", ["deadline", "stop_event"])
+    def test_unmerged_messages_visible_after_exit(self, queue, store, stop):
+        # An invocation that stops must not leave what it claimed invisible
+        # for the visibility window: a reducer started next must find it.
+        enqueue_leaves(queue, store, [np.ones((2, 2)), np.ones((2, 2))])
+        stop_event = threading.Event()
+        if stop == "deadline":
+            cfg = service_config(5, max_parallel_invocations=2, deadline_seconds=1.0)
+        else:
+            cfg = service_config(5, max_parallel_invocations=2, deadline_seconds=30.0)
+            threading.Timer(0.5, stop_event.set).start()
+        with pytest.raises(IncompleteReductionError) as err:
+            run_reduction_service(cfg, queue, store, stop_event=stop_event)
+        assert err.value.leaf_tally == 2
+        assert list(queue.inflight_dir.iterdir()) == []
+        ((partial, _),) = queue.dequeue(10, visibility_timeout=30)
+        assert partial.leaf_count == 2
+        np.testing.assert_array_equal(store.get_image(partial.blob_id).values, np.full((2, 2), 2.0))
+
+    def test_claimed_messages_visible_after_error(self, queue, store, monkeypatch):
+        enqueue_leaves(queue, store, [np.ones((2, 2)), np.ones((2, 2))])
+
+        def failing_step(messages, store):
+            raise OSError("blob store unavailable")
+
+        monkeypatch.setattr(reducer, "reduce_step", failing_step)
+        with pytest.raises(OSError):
+            run_reduction_service(service_config(5), queue, store)
+        assert list(queue.inflight_dir.iterdir()) == []
+        assert [m.leaf_count for m, _ in queue.dequeue(10, visibility_timeout=30)] == [1, 1]
+
+    def test_lone_message_never_copied(self, queue, store, monkeypatch):
+        # Leaves arriving one by one leave lone messages for two invocations
+        # to hand back.  A hand-back that enqueued a copy before deleting the
+        # original would put two copies on the queue for a moment; the only
+        # enqueues a reducer makes must be its partial sums.
+        reducer_enqueues = []
+        enqueue = queue.enqueue
+
+        def counted_enqueue(msg):
+            reducer_enqueues.append(msg)
+            enqueue(msg)
+
+        monkeypatch.setattr(queue, "enqueue", counted_enqueue)
+        producer = FileQueue(queue.root)
+        rng = np.random.default_rng(17)
+        images = [rng.uniform(0.1, 1.0, (4, 4)) for _ in range(6)]
+        cfg = service_config(6, max_parallel_invocations=2)
+        result = {}
+
+        def _serve():
+            result["report"] = run_reduction_service(cfg, queue, store)
+
+        t = threading.Thread(target=_serve)
+        t.start()
+        for img in images:
+            producer.enqueue(put_leaf(store, img))
+            threading.Event().wait(0.2)
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert len(reducer_enqueues) == result["report"].invocation_count
+        final = store.get_image(result["report"].final_blob_id)
+        assert final.leaf_count == 6
+        np.testing.assert_allclose(final.values, np.sum(images, axis=0), rtol=1e-12)
 
     def test_trickling_arrivals_complete(self, queue, store):
         rng = np.random.default_rng(11)
