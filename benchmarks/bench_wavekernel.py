@@ -1,14 +1,19 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled stencil kernels against the pure-NumPy fallback.
+"""Benchmark the compiled window kernels against the pure-NumPy fallback.
 
-Runs the forward and adjoint time-step kernels on a padded grid and reports
-steps/second per backend plus the speedup.  The C kernels come from the same
-loader every run uses (compiled on first use, see rtmcloud.wavekernel._backend).
-The two backends implement the same contract (see
-rtmcloud.wavekernel._stencil_py) term for term, so this is also a check that
-both produce bitwise-equal fields; the script exits non-zero when they differ.
-``--json`` appends the result, with the commit, backend and nproc, to
-BENCH_kernel.json at the repository root.
+Runs one forward and one adjoint window of ``--steps`` steps on an n x n
+padded grid, with a source and 48 receivers, and reports steps/second per
+backend plus the speedup.  The forward window injects the source and
+records the traces; the adjoint window injects the data and records the
+source-cell series.  Frame storage and the imaging correlation are left
+out, since at 301^2 the frames of 300 steps take 0.2 GB.  The C kernels come
+from the same loader every run uses (compiled on first use, see
+rtmcloud.wavekernel._backend).  The two backends implement the same
+contract (see rtmcloud.wavekernel._stencil_py) term for term, so this is
+also a check that both produce bitwise-equal fields and outputs; the
+script exits non-zero when they differ.  ``--json`` appends the result,
+with the commit, backend and nproc, to BENCH_kernel.json at the repository
+root.
 
 Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--json]
 """
@@ -34,31 +39,38 @@ def load_backends():
     return backends
 
 
-def make_fields(n, seed=0):
+def window_args(kind, n, steps, seed=0):
+    """Arguments of one ``kind`` window over [0, steps), in contract order."""
     rng = np.random.default_rng(seed)
-    prv = np.zeros((n, n))
-    cur = np.zeros((n, n))
-    cur[2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4)) * 1e-3
-    nxt = np.zeros((n, n))
-    w = np.zeros((n, n))
+    fields = [np.zeros((n, n)) for _ in range(4 if kind == "adjoint" else 3)]
+    fields[1][2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4)) * 1e-3
     vdt2 = np.full((n, n), (1500.0 * 0.0015) ** 2)
     mask = np.ones((n, n))
     mask[:2] = mask[-2:] = mask[:, :2] = mask[:, -2:] = 0.0
-    return prv, cur, nxt, w, vdt2, mask
+    inv_h2 = 1.0 / 10.0**2
+    c = (n // 2) * n + n // 2
+    src_idx = np.array([[c, c + 1, c + n, c + n + 1]], dtype=np.intp)
+    src_w = np.full((1, 4), 0.25) * vdt2[n // 2, n // 2]
+    cols = np.linspace(4, n - 6, 48).astype(np.intp)
+    rec_idx = (4 * n + cols)[:, None] + np.array([0, 1, n, n + 1], dtype=np.intp)
+    rec_w = np.tile([0.4, 0.1, 0.4, 0.1], (len(cols), 1))
+    head = [0, steps, *fields, vdt2, mask, inv_h2, inv_h2]
+    if kind == "forward":
+        traces = np.zeros((steps, len(cols)))
+        return head + [src_idx, src_w, rng.standard_normal(steps), rec_idx, rec_w, traces,
+                       None, 0, 0], traces
+    q_star = np.zeros(steps)
+    data = rng.standard_normal((steps, len(cols)))
+    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, None, None, -1, 0, 0], q_star
 
 
 def run(impl, kind, n, steps):
-    prv, cur, nxt, w, vdt2, mask = make_fields(n)
-    inv_h2 = 1.0 / 10.0**2
+    args, output = window_args(kind, n, steps)
+    window = getattr(impl, f"{kind}_window")
     t0 = time.perf_counter()
-    for _ in range(steps):
-        if kind == "forward":
-            impl.forward_step(prv, cur, nxt, vdt2, mask, inv_h2, inv_h2)
-        else:
-            impl.adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_h2, inv_h2)
-        prv, cur, nxt = cur, nxt, prv
+    fields = window(*args)
     elapsed = time.perf_counter() - t0
-    return steps / elapsed, cur
+    return steps / elapsed, (*fields, output)
 
 
 def main():
@@ -72,7 +84,7 @@ def main():
     results = {}
     mismatch = False
     for kind in ("forward", "adjoint"):
-        print(f"\n{kind} step, {args.n}x{args.n} grid, {args.steps} steps")
+        print(f"\n{kind} window, {args.n}x{args.n} grid, {args.steps} steps")
         fields = {}
         for name, impl in backends.items():
             rate, final = run(impl, kind, args.n, args.steps)
@@ -80,7 +92,7 @@ def main():
             results[(kind, name)] = rate
             print(f"  {name:>7}: {rate:8.1f} steps/s")
         if len(fields) == 2:
-            equal = np.array_equal(fields["c"], fields["python"])
+            equal = all(map(np.array_equal, fields["c"], fields["python"]))
             mismatch |= not equal
             print(f"  bitwise equal: {'yes' if equal else 'no'}")
             speedup = results[(kind, "c")] / results[(kind, "python")]
@@ -96,7 +108,7 @@ def main():
             "bitwise_equal": not mismatch if len(backends) == 2 else None,
         })
     if mismatch:
-        sys.exit("the C and NumPy kernels produced different fields")
+        sys.exit("the C and NumPy kernels produced different fields or outputs")
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Acoustic wave kernel: forward modeling, adjoint propagation, RTM imaging.
 
-The hot stencil loops live in ``_stencil.c``, a C extension that ``_backend``
+The time loop lives in ``_stencil.c``, a C extension whose window calls
+advance a propagation over many steps at once, and which ``_backend``
 compiles on first use into a per-user cache, with a NumPy fallback
 (``_stencil_py``) selected at import when it cannot be compiled or loaded;
 ``backend_name()`` and ``backend_reason()`` say which runs and why.
-Everything else is orchestration in ``solver``.
+Everything else is set-up and orchestration in ``solver``.
 """
 
 from ._backend import backend_name, backend_reason

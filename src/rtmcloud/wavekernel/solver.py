@@ -5,6 +5,9 @@ space, second-order leapfrog in time, sponge absorbing layers.  The adjoint
 propagator is the exact discrete transpose of the forward one, which is what
 makes the dot test pass at machine precision and the migration operator a
 true adjoint of modeling.
+
+Here each propagation is set up; its time loop runs in the kernels' windows,
+one call per ``_FINITE_CHECK_EVERY`` steps, with a finiteness check between.
 """
 
 from __future__ import annotations
@@ -163,6 +166,7 @@ class _Propagator:
         self.mask = self._sponge_mask(free_surface)
         self.inv_dz2 = 1.0 / model.dz**2
         self.inv_dx2 = 1.0 / model.dx**2
+        self.coefficients = (self.vdt2, self.mask, self.inv_dz2, self.inv_dx2)
 
     def _sponge_taper(self, n: int, leading: bool) -> np.ndarray:
         taper = np.ones(n)
@@ -189,11 +193,11 @@ class _Propagator:
         mask[:, -HALO:] = 0.0
         return mask
 
-    def interp_cells(self, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Bilinear cells/weights, arrays shaped (n_positions, 4)."""
+    def interp_cells(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """Bilinear cells as flat indices into the padded grid, and their
+        weights, both shaped (n_positions, 4)."""
         m = self.model
-        iz = np.empty((len(positions), 4), dtype=np.intp)
-        ix = np.empty((len(positions), 4), dtype=np.intp)
+        idx = np.empty((len(positions), 4), dtype=np.intp)
         wt = np.empty((len(positions), 4))
         for k, (x, z) in enumerate(positions):
             if not m.contains(x, z):
@@ -204,16 +208,18 @@ class _Propagator:
             i0 = min(i0, self.nz_pad - 2)
             j0 = min(j0, self.nx_pad - 2)
             fz, fx = gz - i0, gx - j0
-            iz[k] = (i0, i0, i0 + 1, i0 + 1)
-            ix[k] = (j0, j0 + 1, j0, j0 + 1)
+            c = i0 * self.nx_pad + j0
+            idx[k] = (c, c + 1, c + self.nx_pad, c + self.nx_pad + 1)
             wt[k] = ((1 - fz) * (1 - fx), (1 - fz) * fx, fz * (1 - fx), fz * fx)
-        return iz, ix, wt
+        return idx, wt
+
+    def source_cells(self, position) -> tuple[np.ndarray, np.ndarray]:
+        """The source's cells, weighted by mask*vdt2 as the update scales them."""
+        idx, wt = self.interp_cells([position])
+        return idx, self.mask.reshape(-1)[idx] * self.vdt2.reshape(-1)[idx] * wt
 
     def alloc(self) -> np.ndarray:
         return np.zeros((self.nz_pad, self.nx_pad))
-
-    def interior(self, a: np.ndarray) -> np.ndarray:
-        return a[self.pad_top : self.pad_top + self.model.nz, self.pad : self.pad + self.model.nx]
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -223,28 +229,28 @@ def _check_finite(a: np.ndarray) -> None:
         )
 
 
+def _windows(lo: int, hi: int, phase: int) -> list[tuple[int, int]]:
+    """Windows [n0, n1) tiling [lo, hi), cut at each n = phase (mod _FINITE_CHECK_EVERY)."""
+    first = lo + 1 + (phase - lo - 1) % _FINITE_CHECK_EVERY
+    cuts = [lo, *range(first, hi, _FINITE_CHECK_EVERY), hi]
+    return list(zip(cuts, cuts[1:]))
+
+
 def _run_forward(prop, source, samples, receivers, nt, store_frames):
-    iz_s, ix_s, w_s = prop.interp_cells([source])
-    inj = prop.mask[iz_s, ix_s] * prop.vdt2[iz_s, ix_s] * w_s
-    iz_r, ix_r, w_r = prop.interp_cells(receivers)
-
+    src = prop.source_cells(source)
+    rec = prop.interp_cells(receivers)
     q = np.zeros(nt)
-    n_src = min(nt, len(samples))
-    q[:n_src] = samples[:n_src]
+    q[: len(samples)] = samples[:nt]
 
-    prv, cur, nxt = prop.alloc(), prop.alloc(), prop.alloc()
-    traces = np.zeros((nt, len(receivers)))
-    frames = np.zeros((nt, prop.model.nz, prop.model.nx)) if store_frames else None
-
-    for n in range(nt):
-        impl.forward_step(prv, cur, nxt, prop.vdt2, prop.mask, prop.inv_dz2, prop.inv_dx2)
-        nxt[iz_s, ix_s] += inj * q[n]
-        traces[n] = (nxt[iz_r, ix_r] * w_r).sum(axis=1)
-        if frames is not None:
-            frames[n] = prop.interior(nxt)
-        prv, cur, nxt = cur, nxt, prv
-        if n % _FINITE_CHECK_EVERY == 0:
-            _check_finite(cur)
+    fields = prop.alloc(), prop.alloc(), prop.alloc()
+    # The windows write every row of both.
+    traces = np.empty((nt, len(receivers)))
+    frames = np.empty((nt, prop.model.nz, prop.model.nx)) if store_frames else None
+    for n0, n1 in _windows(0, nt, 1):
+        fields = impl.forward_window(n0, n1, *fields, *prop.coefficients, *src, q, *rec,
+                                     traces, frames, prop.pad_top, prop.pad)
+        if (n1 - 1) % _FINITE_CHECK_EVERY == 0:
+            _check_finite(fields[1])
     _check_finite(traces)
     return traces, frames
 
@@ -259,31 +265,24 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, image_skip_unt
     dropped (used to exclude the source's active window).  Returns
     (adjoint_source or None, image or None).
     """
+    data = np.ascontiguousarray(data)
     nt = data.shape[0]
-    iz_r, ix_r, w_r = prop.interp_cells(receivers)
-    flat_iz, flat_ix = iz_r.ravel(), ix_r.ravel()
-    if source is not None:
-        iz_s, ix_s, w_s = prop.interp_cells([source])
-        ext = prop.mask[iz_s, ix_s] * prop.vdt2[iz_s, ix_s] * w_s
-        q_star = np.zeros(nt)
-    else:
-        q_star = None
+    rec = prop.interp_cells(receivers)
+    src = prop.source_cells(source) if source is not None else (None, None)
+    q_star = np.zeros(nt) if source is not None else None
+    if frames is not None:
+        frames = np.ascontiguousarray(frames, dtype=np.float64)
     image = np.zeros((prop.model.nz, prop.model.nx)) if frames is not None else None
+    # Without q_star, the steps up to image_skip_until would only add skipped image terms.
+    stop = 0 if q_star is not None or image is None else min(nt, max(0, image_skip_until + 1))
 
-    prv, cur, nxt = prop.alloc(), prop.alloc(), prop.alloc()
+    fields = prop.alloc(), prop.alloc(), prop.alloc()
     w = prop.alloc()
-    for k in range(nt, 0, -1):
-        if q_star is None and image is not None and k - 1 <= image_skip_until:
-            break  # remaining steps would only add skipped image terms
-        impl.adjoint_step(prv, cur, nxt, w, prop.vdt2, prop.mask, prop.inv_dz2, prop.inv_dx2)
-        np.add.at(nxt, (flat_iz, flat_ix), (w_r * data[k - 1][:, None]).ravel())
-        if q_star is not None:
-            q_star[k - 1] = (ext * nxt[iz_s, ix_s]).sum()
-        if image is not None and k - 1 > image_skip_until:
-            image += frames[k - 1] * prop.interior(nxt)
-        cur, nxt = nxt, cur
-        if k % _FINITE_CHECK_EVERY == 0:
-            _check_finite(cur)
+    for n0, n1 in reversed(_windows(stop, nt, -1)):
+        fields = impl.adjoint_window(n0, n1, *fields, w, *prop.coefficients, *rec, data, *src,
+                                     q_star, frames, image, image_skip_until, prop.pad_top, prop.pad)
+        if (n0 + 1) % _FINITE_CHECK_EVERY == 0:
+            _check_finite(fields[1])
     if image is not None:
         _check_finite(image)
     return q_star, image

@@ -221,18 +221,19 @@ class TestPipeline:
 
 
 def _counting(impl, calls):
-    """Kernels that step like ``impl`` and count each call by name in ``calls``."""
+    """Kernels that step like ``impl`` and count each window's steps, by
+    direction, in ``calls["forward_step"]`` and ``calls["adjoint_step"]``."""
 
-    def counted(name):
-        step = getattr(impl, name)
+    def counted(kind):
+        window = getattr(impl, f"{kind}_window")
 
-        def call(*args):
-            calls[name] += 1
-            step(*args)
+        def call(n0, n1, *args):
+            calls[f"{kind}_step"] += n1 - n0
+            return window(n0, n1, *args)
 
         return call
 
-    return SimpleNamespace(forward_step=counted("forward_step"), adjoint_step=counted("adjoint_step"))
+    return SimpleNamespace(forward_window=counted("forward"), adjoint_window=counted("adjoint"))
 
 
 @pytest.fixture(scope="class")

@@ -225,38 +225,81 @@ def c_stencil():
     return module
 
 
+FORWARD_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
+                "src_idx", "src_w", "q", "rec_idx", "rec_w", "traces", "frames", "top", "left")
+ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "w", "vdt2", "mask", "inv_dz2", "inv_dx2",
+                "rec_idx", "rec_w", "data", "src_idx", "src_w", "q_star", "frames", "image",
+                "image_skip_until", "top", "left")
+
+
+def window_case(nt=150, seed=3):
+    """Window arguments on a small model, forward and adjoint, every output on.
+
+    Receivers 0 and 1 lie in the same cell with different weights and
+    receiver 2 sits exactly on receiver 0, so injection adds into shared
+    cells and its order shows.
+    """
+    model = make_layered_model(20, 24, 10.0, 10.0, [1500.0, 2200.0])
+    prop = solver._Propagator(model, default_dt(model))
+    receivers = ((50.0, 30.0), (55.0, 34.0), (50.0, 30.0), (180.0, 120.0))
+    rng = np.random.default_rng(seed)
+    src_idx, src_w = prop.source_cells((110.0, 90.0))
+    rec_idx, rec_w = prop.interp_cells(receivers)
+    common = dict(n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
+                  inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
+                  rec_w=rec_w, top=prop.pad_top, left=prop.pad)
+    forward = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
+                   q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
+                   frames=np.zeros((nt, model.nz, model.nx)))
+    adjoint = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(), w=prop.alloc(),
+                   data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
+                   frames=rng.standard_normal((nt, model.nz, model.nx)),
+                   image=np.zeros((model.nz, model.nx)), image_skip_until=nt // 3)
+    return ({k: forward[k] for k in FORWARD_ARGS}, {k: adjoint[k] for k in ADJOINT_ARGS})
+
+
+def run_windows(impl, size=None, nt=150):
+    """A forward then an adjoint propagation over [0, nt) in windows of ``size``
+    steps (one window when None); every field and output afterwards."""
+    forward, adjoint = window_case(nt)
+    cuts = [*range(0, nt, size or nt), nt]
+    out = {}
+    for kind, args, order in (("forward", forward, cuts), ("adjoint", adjoint, cuts[::-1])):
+        window = getattr(impl, f"{kind}_window")
+        fields = (args["prv"], args["cur"], args["nxt"])
+        for a, b in zip(order, order[1:]):
+            args.update(zip(("prv", "cur", "nxt"), fields), n0=min(a, b), n1=max(a, b))
+            fields = window(*args.values())
+        out.update({f"{kind}.{role}": f for role, f in zip(("prv", "cur", "nxt"), fields)})
+    out.update(traces=forward["traces"], frames=forward["frames"], q_star=adjoint["q_star"],
+               image=adjoint["image"])
+    return out
+
+
+def _truncated(key):
+    return key, lambda a: a[key][:-1].copy()
+
+
 class TestBackendParity:
-    """The NumPy fallback and the C kernels implement one contract."""
+    """The NumPy fallback and the C kernels implement one window contract."""
 
-    def _fields(self, n=64, seed=3):
-        rng = np.random.default_rng(seed)
-        prv = np.zeros((n, n))
-        cur = np.zeros((n, n))
-        cur[2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4))
-        nxt = np.zeros((n, n))
-        w = np.zeros((n, n))
-        vdt2 = np.full((n, n), (1500.0 * 0.0015) ** 2)
-        mask = np.ones((n, n))
-        mask[:2] = mask[-2:] = mask[:, :2] = mask[:, -2:] = 0.0
-        mask[2:-2, 2:-2] *= 1.0 - 1e-3 * rng.random((n - 4, n - 4))
-        prv[2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4))
-        return prv, cur, nxt, w, vdt2, mask
+    @pytest.mark.parametrize("kind", ["forward", "adjoint"])
+    def test_window_matches(self, c_stencil, kind):
+        c, py = run_windows(c_stencil), run_windows(_stencil_py)
+        outputs = [k for k in c if k.startswith(kind)] + (
+            ["traces", "frames"] if kind == "forward" else ["q_star", "image"])
+        for k in outputs:
+            assert np.abs(c[k]).max() > 0, k
+            np.testing.assert_array_equal(c[k], py[k], err_msg=k)
 
-    def test_forward_step_matches(self, c_stencil):
-        a = self._fields()
-        b = tuple(x.copy() for x in a)
-        c_stencil.forward_step(a[0], a[1], a[2], a[4], a[5], 0.01, 0.01)
-        _stencil_py.forward_step(b[0], b[1], b[2], b[4], b[5], 0.01, 0.01)
-        np.testing.assert_array_equal(a[2], b[2])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_adjoint_step_matches(self, c_stencil):
-        a = self._fields(seed=4)
-        b = tuple(x.copy() for x in a)
-        c_stencil.adjoint_step(a[0], a[1], a[2], a[3], a[4], a[5], 0.01, 0.01)
-        _stencil_py.adjoint_step(b[0], b[1], b[2], b[3], b[4], b[5], 0.01, 0.01)
-        np.testing.assert_array_equal(a[2], b[2])
-        np.testing.assert_array_equal(a[0], b[0])
+    @pytest.mark.parametrize("size", [1, 7, 128])
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_split_windows_step_as_one(self, c_stencil, backend, size):
+        # The replay property: any cut of [0, nt) gives the same bits.
+        impl = c_stencil if backend == "c" else _stencil_py
+        whole, split = run_windows(impl), run_windows(impl, size)
+        for k in whole:
+            np.testing.assert_array_equal(whole[k], split[k], err_msg=k)
 
     def test_shot_image_matches(self, c_stencil, monkeypatch):
         model, source, receivers, wavelet, dt, nt = small_setup()
@@ -270,29 +313,45 @@ class TestBackendParity:
         np.testing.assert_array_equal(images[0], images[1])
 
     @pytest.mark.parametrize(
-        "bad_mask",
+        "key, bad",
         [
-            lambda m: m.astype(np.float32),
-            lambda m: np.repeat(m, 2, axis=1)[:, ::2],
-            lambda m: m[:, :-1].copy(),
+            ("mask", lambda a: a["mask"].astype(np.float32)),
+            ("mask", lambda a: np.repeat(a["mask"], 2, axis=1)[:, ::2]),
+            ("mask", lambda a: a["mask"][:, :-1].copy()),
+            ("nxt", lambda a: a["cur"]),
+            ("rec_idx", lambda a: a["rec_idx"].astype(np.int32)),
+            ("rec_idx", lambda a: np.where(a["rec_idx"] == a["rec_idx"].max(), a["mask"].size,
+                                           a["rec_idx"])),
+            ("src_idx", lambda a: a["src_idx"] - a["src_idx"].max() - 1),
+            _truncated("q"),
+            _truncated("data"),
+            _truncated("traces"),
+            _truncated("frames"),
+            _truncated("q_star"),
         ],
-        ids=["float32", "non_contiguous", "shape_mismatch"],
+        ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
+             "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
+             "n1_past_frames", "n1_past_q_star"],
     )
-    def test_bad_field_rejected(self, c_stencil, bad_mask):
-        prv, cur, nxt, w, vdt2, mask = self._fields(n=16)
-        mask = bad_mask(mask)
-        prv_before, cur_before = prv.copy(), cur.copy()
-        fields = (prv, cur, nxt, w, vdt2, mask)
-        refs = [sys.getrefcount(x) for x in fields]
-        with pytest.raises(ValueError):
-            c_stencil.forward_step(prv, cur, nxt, vdt2, mask, 0.01, 0.01)
-        with pytest.raises(ValueError):
-            c_stencil.adjoint_step(prv, cur, nxt, w, vdt2, mask, 0.01, 0.01)
-        np.testing.assert_array_equal(cur, cur_before)
-        np.testing.assert_array_equal(prv, prv_before)
-        assert not nxt.any()
-        # every buffer taken, the bad field's included, was released again
-        assert [sys.getrefcount(x) for x in fields] == refs
+    def test_bad_field_rejected(self, c_stencil, key, bad):
+        forward, adjoint = window_case(nt=8)
+        for kind, args in (("forward", forward), ("adjoint", adjoint)):
+            if key not in args:
+                continue
+            # a stepped field would differ from this random state
+            for name in ("prv", "cur", "nxt"):
+                args[name][2:-2, 2:-2] = np.random.default_rng(1).standard_normal(
+                    args[name][2:-2, 2:-2].shape)
+            args[key] = bad(args)
+            arrays = [v for v in args.values() if isinstance(v, np.ndarray)]
+            before = [a.copy() for a in arrays]
+            refs = [sys.getrefcount(a) for a in arrays]
+            with pytest.raises(ValueError):
+                getattr(c_stencil, f"{kind}_window")(*args.values())
+            # every buffer taken, the bad one's included, was released again
+            assert [sys.getrefcount(a) for a in arrays] == refs, kind
+            for a, b in zip(arrays, before):
+                np.testing.assert_array_equal(a, b)  # nothing stepped
 
 
 class TestBlobSerialization:
