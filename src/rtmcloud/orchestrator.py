@@ -3,8 +3,14 @@
 The map phase emulates a batch service on one machine: worker OS processes
 claim shots FCFS from a shared task directory (atomic rename), write their
 images to the blob store and announce them on the queue.  The reduction
-service consumes the queue concurrently, so summation starts while shots
-are still being migrated.
+service consumes the queue concurrently, in a process of its own, so
+summation starts while shots are still being migrated.
+
+Every process is started by ``fork`` from a parent that runs no thread of
+this package: the reducer's threads live inside the reduction process.  A
+worker therefore inherits the loaded numpy and kernel and claims its first
+shot within milliseconds, and every child is joined, so its resource usage
+reaches ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
@@ -14,8 +20,8 @@ import dataclasses
 import json
 import multiprocessing as mp
 import os
+import resource
 import sys
-import threading
 import time
 import traceback
 from dataclasses import dataclass
@@ -45,10 +51,12 @@ from .wavekernel import (
 )
 
 _POLL = 0.05
+_FORK = mp.get_context("fork")
 
 
 class MapPhaseError(RuntimeError):
-    """A shot failed twice; carries the traces of the shots that did finish."""
+    """A shot used up its attempts, or workers kept dying before they claimed
+    a shot; carries the traces of the shots that did finish."""
 
     def __init__(self, msg: str, traces: list):
         super().__init__(msg)
@@ -66,6 +74,7 @@ class JobTrace:
     attempt: int = 1
     backend: str | None = None  # the worker's backend_name(), and why when "python"
     backend_reason: str | None = None
+    peak_rss_mb: float | None = None  # the worker's own ru_maxrss when it finished the shot
 
     def __post_init__(self):
         if self.end < self.start:
@@ -206,8 +215,9 @@ def _map_worker(config_dict: dict, out_dir: str) -> None:
             blob_id = store.put_image(image.to_blob(leaf_count=1))
             queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
             end = time.time()
+            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
             trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
-                             backend_name(), backend_reason())
+                             backend_name(), backend_reason(), peak_mb)
             _atomic_write_json(dirs["done"] / f"{shot_id:05d}.json", trace.to_dict())
             os.unlink(claimed_path)
         except Exception:
@@ -220,7 +230,9 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
     """Run every shot through a pool of worker processes; one trace per shot.
 
     A worker crash requeues its claimed shot once; a second failure marks it
-    failed and fails the phase with the traces collected so far.
+    failed and fails the phase with the traces collected so far.  So does a
+    start-up crash loop: ``workers * max_attempts`` worker exits in a row
+    that claimed no shot.
     """
     out_dir = Path(config.out_dir)
     n_shots = config.survey.n_receivers
@@ -236,27 +248,30 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
             dirs["pending"] / f"{shot_id:05d}.a1.json", {"shot_id": shot_id, "attempt": 1}
         )
 
-    ctx = mp.get_context("spawn")
     cfg_dict = config.to_dict()
-    procs: list = []
+    procs: list = []  # started and not yet joined
 
     def spawn() -> None:
-        p = ctx.Process(target=_map_worker, args=(cfg_dict, str(out_dir)), daemon=True)
+        p = _FORK.Process(target=_map_worker, args=(cfg_dict, str(out_dir)), daemon=True)
         p.start()
         procs.append(p)
 
     for _ in range(min(config.map.workers, n_shots)):
         spawn()
 
+    claimers: set[int] = set()  # pids seen holding a claim
+    no_claim_exits = 0  # worker exits in a row that claimed no shot
     failed_msgs: list[str] = []
     try:
         while True:
-            alive_pids = {p.pid for p in procs if p.is_alive()}
+            exited = [p for p in procs if not p.is_alive()]
+            alive_pids = {p.pid for p in procs if p not in exited}
             for entry in sorted(os.listdir(dirs["claimed"])):
                 parts = entry.rsplit(".", 2)  # <shot>.a<N>.pid<P>.json
                 if len(parts) != 3 or not parts[1].startswith("pid"):
                     continue
                 pid = int(parts[1][3:])
+                claimers.add(pid)
                 if pid in alive_pids:
                     continue
                 claim = dirs["claimed"] / entry
@@ -274,14 +289,28 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
                     )
                     claim.unlink()
 
-            done = len(os.listdir(dirs["done"]))
+            for p in exited:
+                p.join()
+                procs.remove(p)
+                # a worker that dies mid-shot leaves its claim, so its pid is known
+                if p.exitcode == 0 or p.pid in claimers:
+                    no_claim_exits = 0
+                    continue
+                no_claim_exits += 1
+                if no_claim_exits >= config.map.workers * config.map.max_attempts:
+                    failed_msgs.append(
+                        f"map workers crash at start-up: {no_claim_exits} exits in a row "
+                        f"before claiming a shot, the last with exit code {p.exitcode}"
+                    )
+                    break
+
+            done = len(list(dirs["done"].glob("*.json")))
             if failed_msgs:
                 break
             if done >= n_shots:
                 break
             n_pending = len(os.listdir(dirs["pending"]))
-            n_alive = len(alive_pids)
-            if n_pending > 0 and n_alive < config.map.workers:
+            if n_pending > 0 and len(procs) < config.map.workers:
                 spawn()
             time.sleep(_POLL)
     finally:
@@ -291,12 +320,11 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
                 p.terminate()
                 p.join()
 
-    traces = []
-    for entry in sorted(os.listdir(dirs["done"])):
-        traces.append(JobTrace(**json.loads((dirs["done"] / entry).read_text())))
+    # done/<shot:05d>.json: name order is shot order
+    traces = [JobTrace(**json.loads(f.read_text())) for f in sorted(dirs["done"].glob("*.json"))]
     if failed_msgs:
         raise MapPhaseError("; ".join(failed_msgs), traces)
-    return sorted(traces, key=lambda t: t.shot_id)
+    return traces
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +343,38 @@ def reduction_config(config: PipelineConfig) -> ReductionConfig:
     )
 
 
+def _reduction_process(red_cfg: ReductionConfig, queue: FileQueue, store: BlobStore,
+                       abort, sender) -> None:
+    """Reduction process: run the service, send ("report", ReductionReport) or
+    ("error", exception) back to the pipeline driver."""
+    try:
+        result = ("report", run_reduction_service(red_cfg, queue, store, stop_event=abort))
+    except BaseException as exc:
+        result = ("error", exc)
+    sender.send(result)
+    sender.close()
+
+
+def _reduction_result(reducer, results) -> ReductionReport:
+    """Receive the reduction process's result, join it, and return the
+    report or raise the error it sent."""
+    try:
+        kind, value = results.recv()
+    except EOFError:
+        kind, value = None, None
+    finally:
+        results.close()
+    reducer.join()
+    if kind is None:
+        raise RuntimeError(
+            f"reduction service (pid {reducer.pid}) exited with code "
+            f"{reducer.exitcode} before it sent a result"
+        )
+    if kind == "error":
+        raise value
+    return value
+
+
 def run_pipeline(config: PipelineConfig):
     """Map and reduce concurrently; returns (ImageGrid, ReductionReport, CostReport)."""
     out_dir = Path(config.out_dir)
@@ -327,28 +387,26 @@ def run_pipeline(config: PipelineConfig):
         )
 
     n_shots = config.survey.n_receivers
-    red_cfg = reduction_config(config)
-    reduce_out: dict = {}
-    abort = threading.Event()
-
-    def _reduce():
-        try:
-            reduce_out["report"] = run_reduction_service(red_cfg, queue, store, stop_event=abort)
-        except BaseException as exc:
-            reduce_out["error"] = exc
-
-    reducer_thread = threading.Thread(target=_reduce, name="reduction-service", daemon=True)
-    reducer_thread.start()
+    abort = _FORK.Event()
+    results, sender = _FORK.Pipe(duplex=False)
+    reducer = _FORK.Process(
+        target=_reduction_process,
+        args=(reduction_config(config), queue, store, abort, sender),
+        name="reduction-service",
+        daemon=True,
+    )
+    reducer.start()
+    sender.close()  # so a reducer that dies without a result reads as EOF here
     try:
         traces = run_map_phase(config)
     except BaseException:
         abort.set()
-        reducer_thread.join()
+        try:
+            _reduction_result(reducer, results)
+        except Exception:
+            pass  # the map phase's error is the one to report
         raise
-    reducer_thread.join()
-    if "error" in reduce_out:
-        raise reduce_out["error"]
-    report_red: ReductionReport = reduce_out["report"]
+    report_red = _reduction_result(reducer, results)
 
     final_blob = store.get_image(report_red.final_blob_id)
     if final_blob.leaf_count != n_shots:
@@ -382,6 +440,8 @@ def run_pipeline(config: PipelineConfig):
                 "name": "+".join(sorted({t.backend for t in traces})),
                 "reason": "; ".join(reasons) or None,
             },
+            # the largest ru_maxrss any map worker reported
+            "map": {"peak_rss_mb": max(t.peak_rss_mb for t in traces)},
         },
     )
     return final_image, report_red, cost

@@ -40,6 +40,11 @@ class IncompleteReductionError(TimeoutError):
         super().__init__(msg)
         self.leaf_tally = leaf_tally
 
+    def __reduce__(self):
+        # OSError pickles as cls(*args), which would drop leaf_tally; the
+        # error crosses a pipe when the service runs in its own process.
+        return type(self), (self.args[0], self.leaf_tally)
+
 
 @dataclass(frozen=True)
 class ReductionConfig:
@@ -175,7 +180,8 @@ def run_reduction_service(
     """Run reducer invocations until a single all-leaves image remains.
 
     ``stop_event`` lets a caller abort the service early (e.g. when the map
-    phase producing the leaves has failed).
+    phase producing the leaves has failed); a ``multiprocessing`` event
+    works too, and the service sets it when it ends.
     """
     start = time.time()
     deadline = time.monotonic() + config.deadline_seconds

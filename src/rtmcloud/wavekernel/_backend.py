@@ -3,11 +3,13 @@
 The first import compiles ``_stencil.c`` with the system C compiler into a
 per-user cache, ``$XDG_CACHE_HOME/rtmcloud`` (default ``~/.cache/rtmcloud``),
 under a name keyed by the sha256 of the source, the compiler flags and the
-extension ABI; later imports, spawned workers included, load that file.  An
-edited ``_stencil.c`` gets a new key, so a stale build is never loaded.  If
+extension ABI; later imports in fresh interpreters load that file, and
+forked map workers inherit the module already loaded.  An edited
+``_stencil.c`` gets a new key, so a stale build is never loaded, and each
+compile removes this user's builds beyond the newest ``KEEP_BUILDS``.  If
 the home cache cannot be written, the cache is ``<tmp>/rtmcloud-<uid>``.  A
 cache directory or file owned by another user, or writable by group or
-others, is refused.
+others, is refused and never removed.
 
 With no compiler, a failed compile or a failed load, the NumPy kernels in
 ``_stencil_py`` run instead and ``backend_reason()`` says why.  Set
@@ -27,6 +29,7 @@ from . import _stencil_py
 CFLAGS = "-O3 -ffp-contract=off -shared -fPIC"
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_stencil.c")
 NO_COMPILER = "no C compiler (gcc or cc) on PATH"
+KEEP_BUILDS = 3
 _EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
 
 
@@ -95,6 +98,21 @@ def _compile(target: str) -> str | None:
     return None
 
 
+def evict_old_builds(cache: str) -> None:
+    """Remove our kernel builds in ``cache`` beyond the newest KEEP_BUILDS;
+    files ``untrusted`` refuses are left alone.  Never raises."""
+    builds = []
+    try:
+        for name in os.listdir(cache):
+            path = os.path.join(cache, name)
+            if name.startswith("_stencil-") and name.endswith(_EXT_SUFFIX) and not untrusted(path):
+                builds.append((os.stat(path).st_mtime_ns, path))
+        for _, path in sorted(builds, reverse=True)[KEEP_BUILDS:]:
+            os.unlink(path)
+    except OSError:
+        pass  # a build removed under us, or one we may not remove: keep it
+
+
 def load_stencil():
     """(compiled module, None), or (None, the reason it is unavailable); never raises."""
     try:
@@ -109,6 +127,7 @@ def load_stencil():
             reason = _compile(path)
             if reason:
                 return None, reason
+            evict_old_builds(cache)
         reason = untrusted(path)
         if reason:
             return None, f"refusing cached kernel: {reason}"

@@ -156,3 +156,47 @@ def test_stale_in_tree_build_ignored(tmp_path):
     shutil.copy(kernel, stale)
     name, _, loaded = probe(tmp_path, src=tree)
     assert name == "c" and loaded == kernel
+
+
+def fake_builds(cache, n, *, start=1_000_000_000):
+    """``n`` fake kernel builds in ``cache``, oldest first, one second apart."""
+    cache.mkdir(parents=True, exist_ok=True, mode=0o700)
+    paths = []
+    for i in range(n):
+        path = cache / f"_stencil-{i:064x}{SUFFIX}"
+        path.write_bytes(b"old build")
+        path.chmod(0o755)
+        os.utime(path, ns=(start + i * 10**9,) * 2)
+        paths.append(path)
+    return paths
+
+
+def test_eviction_keeps_newest_builds_and_spares_the_rest(tmp_path):
+    cache = tmp_path / "cache"
+    builds = fake_builds(cache, 5)
+    shared = cache / f"_stencil-shared{SUFFIX}"
+    shared.write_bytes(b"oldest build")
+    shared.chmod(0o775)  # writable by group: refused, so never removed
+    os.utime(shared, ns=(0, 0))
+    (cache / "notes.txt").write_text("not a build")
+    (cache / "_stencil-abc.tmp").write_text("a build in progress")
+    _backend.evict_old_builds(str(cache))
+    left = sorted(p.name for p in cache.iterdir())
+    kept = sorted(p.name for p in builds[-_backend.KEEP_BUILDS:])
+    assert left == sorted(kept + [shared.name, "notes.txt", "_stencil-abc.tmp"])
+
+
+def test_compile_miss_evicts_older_builds(tmp_path):
+    old = fake_builds(tmp_path / "cache" / "rtmcloud", 4)
+    name, _, kernel = probe(tmp_path)
+    assert name == "c"
+    newest = [p.name for p in old[-(_backend.KEEP_BUILDS - 1):]]
+    assert cached_files(tmp_path) == sorted(newest + [Path(kernel).name])
+
+
+def test_cache_hit_evicts_nothing(tmp_path):
+    probe(tmp_path)
+    fake_builds(tmp_path / "cache" / "rtmcloud", 4)
+    before = cached_files(tmp_path)
+    probe(tmp_path)
+    assert cached_files(tmp_path) == before

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import signal
-import threading
+import subprocess
+import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,6 +19,7 @@ from rtmcloud.blobstore import BlobStore, decode_image
 from rtmcloud.cli import build_parser, main
 from rtmcloud.config import PipelineConfig, config_from_args, config_from_dict, load_config
 from rtmcloud.msgqueue import FileQueue, QueueMessage
+from rtmcloud.reducer import IncompleteReductionError
 from rtmcloud.wavekernel import (
     backend_name,
     backend_reason,
@@ -26,6 +30,8 @@ from rtmcloud.wavekernel import (
 )
 
 from conftest import rel_diff
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def tiny_config(tmp_path, n_shots=2, workers=1, **reduce_kw):
@@ -124,38 +130,26 @@ class TestMapPhase:
             peak = max(peak, live)
         assert peak <= 4
 
-    def test_worker_kill_requeues_job(self, tmp_path):
+    def test_worker_kill_requeues_job(self, tmp_path, monkeypatch):
+        # forked workers inherit the patch: the first attempt at shot 3
+        # SIGKILLs its worker while the worker holds the claim
         cfg = tiny_config(tmp_path, n_shots=8, workers=2)
-        # bigger solves widen the kill window
-        data = cfg.to_dict()
-        data["model"].update(nz=101, nx=101)
-        data["survey"].update(record_time=1.2)
-        data["scatterer"].update(z=500.0, x=510.0)
-        cfg = config_from_dict(data)
-        claimed_dir = tmp_path / "out" / "tasks" / "claimed"
-        result = {}
+        migrate = orchestrator.migrate_shot
+        marker = tmp_path / "killed"
 
-        def _run():
-            result["traces"] = orchestrator.run_map_phase(cfg)
+        def dies_once(config, shot_id):
+            if shot_id == 3 and not marker.exists():
+                marker.touch()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return migrate(config, shot_id)
 
-        t = threading.Thread(target=_run)
-        t.start()
-        victim = None
-        deadline = time.monotonic() + 30
-        while victim is None and time.monotonic() < deadline:
-            if claimed_dir.is_dir():
-                for entry in os.listdir(claimed_dir):
-                    victim = int(entry.rsplit(".", 2)[1][3:])
-                    break
-            time.sleep(0.01)
-        assert victim is not None
-        os.kill(victim, signal.SIGKILL)
-        t.join(timeout=120)
-        assert not t.is_alive()
-        traces = result["traces"]
+        monkeypatch.setattr(orchestrator, "migrate_shot", dies_once)
+        traces = orchestrator.run_map_phase(cfg)
+        assert marker.exists()
         assert len(traces) == 8
         assert FileQueue(cfg.queue_root()).approximate_count() == 8
-        assert max(t2.attempt for t2 in traces) == 2  # the victim's shot reran
+        assert [t.attempt for t in traces] == [1, 1, 1, 2, 1, 1, 1, 1]  # shot 3 reran
+        assert multiprocessing.active_children() == []
 
     def test_two_failures_fail_the_phase(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=2, workers=1)
@@ -165,6 +159,40 @@ class TestMapPhase:
         cfg = config_from_dict(data)
         with pytest.raises(orchestrator.MapPhaseError):
             orchestrator.run_map_phase(cfg)
+
+    def test_worker_peak_rss_in_trace(self, tmp_path, monkeypatch):
+        # one worker; during shot 1 it also holds 60 MiB it has written to
+        cfg = tiny_config(tmp_path, n_shots=2, workers=1)
+        migrate = orchestrator.migrate_shot
+
+        def heavy(config, shot_id):
+            ballast = np.ones(60 * 2**20 // 8) if shot_id == 1 else None
+            image = migrate(config, shot_id)
+            del ballast
+            return image
+
+        monkeypatch.setattr(orchestrator, "migrate_shot", heavy)
+        first, second = orchestrator.run_map_phase(cfg)
+        assert first.worker_id == second.worker_id
+        assert first.peak_rss_mb > 0
+        assert second.peak_rss_mb - first.peak_rss_mb >= 50
+
+
+class TestStartupCrashLoop:
+    def test_pipeline_fails_fast_and_joins_every_child(self, tmp_path, monkeypatch):
+        # every forked worker inherits the patch and dies before its first claim
+        def broken(data):
+            raise RuntimeError("config unreadable")
+
+        monkeypatch.setattr(orchestrator, "config_from_dict", broken)
+        cfg = tiny_config(tmp_path, n_shots=4, workers=2)
+        t0 = time.monotonic()
+        with pytest.raises(orchestrator.MapPhaseError, match="start-up.*exit code 1") as err:
+            orchestrator.run_pipeline(cfg)
+        assert time.monotonic() - t0 < 10
+        assert err.value.traces == []
+        assert len(os.listdir(tmp_path / "out" / "tasks" / "pending")) == 4
+        assert multiprocessing.active_children() == []
 
 
 class TestPipeline:
@@ -186,6 +214,8 @@ class TestPipeline:
         assert final_blob.leaf_count == 4
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["backend"] == {"name": backend_name(), "reason": backend_reason()}
+        done = [json.loads(p.read_text()) for p in (tmp_path / "out" / "tasks" / "done").iterdir()]
+        assert report["map"]["peak_rss_mb"] == max(t["peak_rss_mb"] for t in done) > 0
 
     def test_single_shot_identity(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=1, workers=1)
@@ -203,15 +233,45 @@ class TestPipeline:
         first_sum = min(e["time"] for e in red.invocations)
         assert first_sum < max(ends)
 
-    def test_fallback_end_to_end(self, tmp_path, monkeypatch):
-        # the spawned map workers inherit the variable and run the NumPy kernels
-        monkeypatch.setenv("RTMCLOUD_PURE_PYTHON", "1")
+    def test_fallback_end_to_end(self, tmp_path):
+        # The backend is chosen when rtmcloud.wavekernel is first imported,
+        # and forked map workers inherit this process's choice, so the run
+        # needs a fresh interpreter started with the variable set.
         cfg = tiny_config(tmp_path, n_shots=2, workers=2)
-        image, _, _ = orchestrator.run_pipeline(cfg)
-        iz, ix = np.unravel_index(np.argmax(np.abs(image.values)), image.values.shape)
+        config_path = tmp_path / "cfg.json"
+        config_path.write_text(json.dumps(cfg.to_dict()))
+        env = dict(os.environ, RTMCLOUD_PURE_PYTHON="1", PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from rtmcloud.cli import main; sys.exit(main())",
+             "run", "--config", str(config_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        image = decode_image((tmp_path / "out" / "final_image.rtmb").read_bytes()).values
+        iz, ix = np.unravel_index(np.argmax(np.abs(image)), image.shape)
         assert abs(iz - 30) <= 3 and abs(ix - 31) <= 3  # the scatterer at z=300, x=310
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["backend"] == {"name": "python", "reason": "RTMCLOUD_PURE_PYTHON=1"}
+
+    def test_reduction_deadline_reaches_caller(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_shots=2, workers=1, deadline=0.001)
+        with pytest.raises(IncompleteReductionError, match="0 of 2 leaves") as err:
+            orchestrator.run_pipeline(cfg)
+        assert err.value.leaf_tally == 0
+        assert multiprocessing.active_children() == []
+
+    def test_killed_reducer_fails_the_run(self, tmp_path, monkeypatch):
+        # the reduction process inherits the patch and is SIGKILLed at once
+        monkeypatch.setattr(
+            orchestrator, "run_reduction_service",
+            lambda *args, **kwargs: os.kill(os.getpid(), signal.SIGKILL),
+        )
+        cfg = tiny_config(tmp_path, n_shots=2, workers=1)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"reduction service .* exited with code -9"):
+            orchestrator.run_pipeline(cfg)
+        assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
 
     def test_dirty_queue_rejected(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=1)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import threading
 
 import numpy as np
@@ -146,6 +147,12 @@ class TestReductionService:
         with pytest.raises(IncompleteReductionError) as err:
             run_reduction_service(cfg, queue, store)
         assert err.value.leaf_tally == 2  # the two leaves were merged
+
+    def test_incomplete_error_pickles_with_tally(self):
+        # the error crosses a pipe from the reduction process to the driver
+        err = pickle.loads(pickle.dumps(IncompleteReductionError("x", 3)))
+        assert type(err) is IncompleteReductionError
+        assert (str(err), err.leaf_tally) == ("x", 3)
 
     def test_stop_event_aborts_early(self, queue, store):
         stop = threading.Event()
