@@ -6,7 +6,7 @@ Runs ``rtmbench/run.py --workload W --seed S`` ten times in the checkout at
 BENCHMARK.json's run_seconds, alternating which side runs first, then
 prints each end-to-end metric of BENCHMARK.json per side as median [q1, q3]
 and the number of pairs the change won.  ``--json`` appends one entry per
-side (commit, backend, nproc, repetitions, median and quartiles) to
+side (commit, src tree, backend, nproc, repetitions, median and quartiles) to
 BENCH_<workload>.json at the repository root.
 
 Usage: python benchmarks/bench_pairs.py --parent DIR --workload pipeline_default
@@ -53,7 +53,7 @@ def entry(side: str, checkout: Path, runs: list[dict], spec: dict) -> dict:
                               "runs": values}
     return {
         "side": side,
-        "commit": commit(checkout),
+        **commit(checkout),
         "workload": runs[0]["workload"],
         "seed": runs[0]["seed"],
         "backend": sorted({r["env"]["backend"] for r in runs}),

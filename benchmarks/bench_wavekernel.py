@@ -12,7 +12,7 @@ rtmcloud.wavekernel._backend).  The two backends implement the same
 contract (see rtmcloud.wavekernel._stencil_py) term for term, so this is
 also a check that both produce bitwise-equal fields and outputs; the
 script exits non-zero when they differ.  ``--json`` appends the result,
-with the commit, backend and nproc, to BENCH_kernel.json at the repository
+with the commit, src tree, backend and nproc, to BENCH_kernel.json at the repository
 root.
 
 Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--json]
@@ -99,7 +99,7 @@ def main():
             print(f"  speedup: {speedup:.1f}x")
     if args.json:
         append_entry("BENCH_kernel.json", {
-            "commit": commit(ROOT),
+            **commit(ROOT),
             "backend": backend_name(),
             "nproc": len(os.sched_getaffinity(0)),
             "n": args.n,

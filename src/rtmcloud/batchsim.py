@@ -138,18 +138,12 @@ def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, fl
     return times
 
 
-def simulate_fixed_cluster(
-    jobs: list[JobSpec], n_vms: int, pricing: PricingModel, extra_master_vm: bool = False
-) -> ScheduleResult:
-    """Fixed cluster of ``n_vms``: every VM is billed from t=0 to the makespan.
-
-    ``extra_master_vm`` bills one additional collector VM for the whole
-    makespan without it running jobs.
-    """
+def simulate_fixed_cluster(jobs: list[JobSpec], n_vms: int, pricing: PricingModel) -> ScheduleResult:
+    """Fixed cluster of ``n_vms``: every VM is billed from t=0 to the makespan."""
     times = _fcfs_schedule(jobs, n_vms)
     makespan = max(end for _, _, end in times)
     busy = sum(j.duration * j.vms_per_job for j in jobs)
-    billed, cost = fixed_cluster_bill(n_vms, makespan, pricing, extra_master_vm)
+    billed, cost = fixed_cluster_bill(n_vms, makespan, pricing)
     return ScheduleResult("fixed", n_vms, makespan, busy, billed - busy, billed, cost, tuple(times))
 
 
@@ -207,6 +201,33 @@ class CurveRow:
     batch_cost: float
     ratio: float
     low_priority_cost: float
+
+
+def parse_vm_counts(spec: str | None, n_jobs: int, source: str = "vm_counts") -> list[int]:
+    """Cluster sizes from a comma list such as "25,50,100"; with no list, the
+    doubling sweep 1, 2, 4, ... ending at ``n_jobs``.
+
+    A malformed list (an empty item, a non-integer, a size below 1) raises a
+    ``ValueError`` naming ``source``, the flag or config key it came from.
+    """
+    if spec is None:
+        counts, n = [], 1
+        while n < n_jobs:
+            counts.append(n)
+            n *= 2
+        return counts + [n_jobs]
+    counts = []
+    for item in spec.split(","):
+        if not item.strip():
+            raise ValueError(f"{source} {spec!r}: empty item")
+        try:
+            n = int(item)
+        except ValueError:
+            raise ValueError(f"{source} {spec!r}: {item.strip()!r} is not an integer") from None
+        if n < 1:
+            raise ValueError(f"{source} {spec!r}: {n} is below 1")
+        counts.append(n)
+    return counts
 
 
 def idle_cost_curve(

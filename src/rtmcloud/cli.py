@@ -109,13 +109,17 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    try:
+        vm_counts = batchsim.parse_vm_counts(args.vm_counts, args.jobs, "--vm-counts")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dist = batchsim.RuntimeDistribution(args.mean_minutes, spread=args.spread, seed=args.seed)
     durations = batchsim.sample_runtimes(dist, args.jobs)
     jobs = [batchsim.JobSpec(i, d, vms_per_job=args.vms_per_job) for i, d in enumerate(durations)]
     pricing = batchsim.PricingModel(
         args.rate, args.discount_factor, billing_granularity=args.granularity
     )
-    vm_counts = [int(s) for s in args.vm_counts.split(",")]
     rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing, scale_latency=args.scale_latency)
     batchsim.write_curve_csv(rows, args.out)
     for r in rows:
@@ -167,7 +171,11 @@ def _cmd_report(args) -> int:
             for p in sorted(trace_dir.glob("*.json"))
         ]
         headline = args.n_vms
-    vm_counts = [int(s) for s in args.vm_counts.split(",")] if args.vm_counts else None
+    try:
+        vm_counts = batchsim.parse_vm_counts(args.vm_counts, len(traces), "--vm-counts")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     cost = orchestrator.report(
         traces, pricing, out_dir=args.out_dir, vm_counts=vm_counts, headline_n_vms=headline
     )

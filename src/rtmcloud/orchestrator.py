@@ -1,20 +1,21 @@
 """End-to-end pipeline driver: survey -> parallel per-shot RTM -> reduction.
 
-The map phase emulates a batch service on one machine: worker OS processes
-claim shots FCFS from a shared task directory (atomic rename), write their
-images to the blob store and announce them on the queue.  The reduction
-service consumes the queue concurrently, in a process of its own, so
-summation starts while shots are still being migrated.
+The map phase emulates a batch service on one machine: the driver hands
+each shot, in shot order, to a free worker OS process over that worker's
+pipe; the worker writes its image to the blob store and announces it on the
+queue.  The reduction service consumes the queue concurrently, in a process
+of its own, so summation starts while shots are still being migrated.
 
 Every process is started by ``fork`` from a parent that runs no thread of
 this package: the reducer's threads live inside the reduction process.  A
-worker therefore inherits the loaded numpy and kernel and claims its first
+worker therefore inherits the loaded numpy and kernel and starts its first
 shot within milliseconds, and every child is joined, so its resource usage
 reaches ``RUSAGE_CHILDREN``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -24,6 +25,7 @@ import resource
 import sys
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from . import batchsim
 from .blobstore import BlobStore, encode_image
-from .config import PipelineConfig, config_from_dict
+from .config import PipelineConfig
 from .msgqueue import FileQueue, QueueMessage
 from .reducer import ReductionConfig, ReductionReport, run_reduction_service
 from .survey import (
@@ -50,13 +52,12 @@ from .wavekernel import (
     stable_dt,
 )
 
-_POLL = 0.05
 _FORK = mp.get_context("fork")
 
 
 class MapPhaseError(RuntimeError):
-    """A shot used up its attempts, or workers kept dying before they claimed
-    a shot; carries the traces of the shots that did finish."""
+    """A shot used up its attempts; carries the traces of the shots that did
+    finish."""
 
     def __init__(self, msg: str, traces: list):
         super().__init__(msg)
@@ -170,12 +171,7 @@ def migrate_shot(config: PipelineConfig, shot_id: int) -> ImageGrid:
 
 
 # ---------------------------------------------------------------------------
-# map phase: claim-file worker pool
-
-
-def _task_dirs(out_dir: Path) -> dict[str, Path]:
-    base = out_dir / "tasks"
-    return {name: base / name for name in ("pending", "claimed", "done", "failed")}
+# map phase: forked workers fed shots over pipes
 
 
 def _atomic_write_json(path: Path, obj: dict) -> None:
@@ -184,31 +180,13 @@ def _atomic_write_json(path: Path, obj: dict) -> None:
     os.replace(tmp, path)
 
 
-def _map_worker(config_dict: dict, out_dir: str) -> None:
-    """Worker process: claim pending shots FCFS, migrate, publish, repeat."""
-    config = config_from_dict(config_dict)
-    dirs = _task_dirs(Path(out_dir))
+def _map_worker(config: PipelineConfig, conn, done_dir: Path) -> None:
+    """Worker process: migrate and publish each (shot_id, attempt) the driver
+    sends, answer with the shot id, and return when it sends None."""
     store = BlobStore(config.store_root())
     queue = FileQueue(config.queue_root())
     pid = os.getpid()
-    while True:
-        pending = sorted(os.listdir(dirs["pending"]))
-        if not pending:
-            return
-        claimed_path = None
-        for name in pending:
-            target = dirs["claimed"] / f"{Path(name).stem}.pid{pid}.json"
-            try:
-                os.replace(dirs["pending"] / name, target)
-            except FileNotFoundError:
-                continue  # another worker claimed it
-            claimed_path = target
-            break
-        if claimed_path is None:
-            continue
-        task = json.loads(claimed_path.read_text())
-        shot_id = task["shot_id"]
-        attempt = task["attempt"]
+    for shot_id, attempt in iter(conn.recv, None):
         try:
             start = time.time()
             image = migrate_shot(config, shot_id)
@@ -218,110 +196,95 @@ def _map_worker(config_dict: dict, out_dir: str) -> None:
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
             trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
                              backend_name(), backend_reason(), peak_mb)
-            _atomic_write_json(dirs["done"] / f"{shot_id:05d}.json", trace.to_dict())
-            os.unlink(claimed_path)
+            _atomic_write_json(done_dir / f"{shot_id:05d}.json", trace.to_dict())
         except Exception:
             traceback.print_exc(file=sys.stderr)
-            # leave the claim in place; the orchestrator requeues or fails it
-            os._exit(1)
+            os._exit(1)  # the driver reads EOF and retries or fails the shot
+        conn.send(shot_id)
 
 
 def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
-    """Run every shot through a pool of worker processes; one trace per shot.
+    """Run every shot through at most ``map.workers`` forked worker
+    processes; one trace per shot, in shot order.
 
-    A worker crash requeues its claimed shot once; a second failure marks it
-    failed and fails the phase with the traces collected so far.  So does a
-    start-up crash loop: ``workers * max_attempts`` worker exits in a row
-    that claimed no shot.
+    The driver hands each free worker the next shot over its pipe.  When a
+    worker dies, the shot it held counts as done if its trace was written;
+    otherwise it is handed out next, as attempt + 1, and a replacement
+    worker is started while shots remain.  A shot whose
+    ``map.max_attempts``-th attempt dies fails the phase with the traces
+    collected so far; a worker that crashes at start-up thus uses up the
+    attempts of the shot it was handed like any other.
     """
-    out_dir = Path(config.out_dir)
+    # imported here, as Pipe() imports it, so importing this module stays light
+    from multiprocessing.connection import wait
+
     n_shots = config.survey.n_receivers
-    dirs = _task_dirs(out_dir)
-    for d in dirs.values():
+    done_dir = Path(config.out_dir) / "tasks" / "done"
+    failed_dir = done_dir.with_name("failed")
+    for d in (done_dir, failed_dir):
         d.mkdir(parents=True, exist_ok=True)
         for old in d.iterdir():
             old.unlink()
     BlobStore(config.store_root())
     FileQueue(config.queue_root())
-    for shot_id in range(n_shots):
-        _atomic_write_json(
-            dirs["pending"] / f"{shot_id:05d}.a1.json", {"shot_id": shot_id, "attempt": 1}
-        )
 
-    cfg_dict = config.to_dict()
-    procs: list = []  # started and not yet joined
-
-    def spawn() -> None:
-        p = _FORK.Process(target=_map_worker, args=(cfg_dict, str(out_dir)), daemon=True)
-        p.start()
-        procs.append(p)
-
-    for _ in range(min(config.map.workers, n_shots)):
-        spawn()
-
-    claimers: set[int] = set()  # pids seen holding a claim
-    no_claim_exits = 0  # worker exits in a row that claimed no shot
+    tasks = deque((shot_id, 1) for shot_id in range(n_shots))
+    workers: dict = {}  # driver end of a live worker's pipe -> [process, task held or None]
     failed_msgs: list[str] = []
+
+    def settle(conn) -> None:
+        """Join the dead worker behind ``conn`` and requeue or fail its shot."""
+        proc, task = workers.pop(conn)
+        conn.close()
+        proc.join()
+        if task is None or (done_dir / f"{task[0]:05d}.json").exists():
+            return
+        shot_id, attempt = task
+        if attempt < config.map.max_attempts:
+            tasks.appendleft((shot_id, attempt + 1))
+            return
+        _atomic_write_json(failed_dir / f"{shot_id:05d}.json",
+                           {"shot_id": shot_id, "attempt": attempt})
+        failed_msgs.append(f"shot {shot_id} failed after {attempt} attempts; its last "
+                           f"worker died with exit code {proc.exitcode}")
+
     try:
-        while True:
-            exited = [p for p in procs if not p.is_alive()]
-            alive_pids = {p.pid for p in procs if p not in exited}
-            for entry in sorted(os.listdir(dirs["claimed"])):
-                parts = entry.rsplit(".", 2)  # <shot>.a<N>.pid<P>.json
-                if len(parts) != 3 or not parts[1].startswith("pid"):
-                    continue
-                pid = int(parts[1][3:])
-                claimers.add(pid)
-                if pid in alive_pids:
-                    continue
-                claim = dirs["claimed"] / entry
-                task = json.loads(claim.read_text())
-                shot_id, attempt = task["shot_id"], task["attempt"]
-                if (dirs["done"] / f"{shot_id:05d}.json").exists():
-                    claim.unlink()
-                elif attempt >= config.map.max_attempts:
-                    os.replace(claim, dirs["failed"] / f"{shot_id:05d}.json")
-                    failed_msgs.append(f"shot {shot_id} failed after {attempt} attempts")
+        while not failed_msgs:
+            idle = [c for c, (_, task) in workers.items() if task is None]
+            while tasks and (idle or len(workers) < config.map.workers):
+                if idle:
+                    conn = idle.pop()
                 else:
-                    _atomic_write_json(
-                        dirs["pending"] / f"{shot_id:05d}.a{attempt + 1}.json",
-                        {"shot_id": shot_id, "attempt": attempt + 1},
-                    )
-                    claim.unlink()
-
-            for p in exited:
-                p.join()
-                procs.remove(p)
-                # a worker that dies mid-shot leaves its claim, so its pid is known
-                if p.exitcode == 0 or p.pid in claimers:
-                    no_claim_exits = 0
-                    continue
-                no_claim_exits += 1
-                if no_claim_exits >= config.map.workers * config.map.max_attempts:
-                    failed_msgs.append(
-                        f"map workers crash at start-up: {no_claim_exits} exits in a row "
-                        f"before claiming a shot, the last with exit code {p.exitcode}"
-                    )
-                    break
-
-            done = len(list(dirs["done"].glob("*.json")))
-            if failed_msgs:
+                    conn, child = _FORK.Pipe()
+                    proc = _FORK.Process(target=_map_worker, args=(config, child, done_dir),
+                                         daemon=True)
+                    proc.start()
+                    child.close()  # so the worker's death reads as EOF here
+                    workers[conn] = [proc, None]
+                workers[conn][1] = tasks.popleft()
+                with contextlib.suppress(OSError):  # a dead worker is settled below
+                    conn.send(workers[conn][1])
+            if not any(task for _, task in workers.values()):
                 break
-            if done >= n_shots:
-                break
-            n_pending = len(os.listdir(dirs["pending"]))
-            if n_pending > 0 and len(procs) < config.map.workers:
-                spawn()
-            time.sleep(_POLL)
+            for conn in wait(list(workers)):
+                try:
+                    conn.recv()
+                    workers[conn][1] = None
+                except (EOFError, OSError):
+                    settle(conn)
     finally:
-        for p in procs:
-            p.join(timeout=30)
-            if p.is_alive():
-                p.terminate()
-                p.join()
+        for conn in workers:
+            with contextlib.suppress(OSError):
+                conn.send(None)
+        for conn, (proc, _) in workers.items():
+            proc.join(timeout=30)
+            if proc.is_alive():
+                proc.terminate()
+                proc.join()
+            conn.close()
 
     # done/<shot:05d>.json: name order is shot order
-    traces = [JobTrace(**json.loads(f.read_text())) for f in sorted(dirs["done"].glob("*.json"))]
+    traces = [JobTrace(**json.loads(f.read_text())) for f in sorted(done_dir.glob("*.json"))]
     if failed_msgs:
         raise MapPhaseError("; ".join(failed_msgs), traces)
     return traces
@@ -387,6 +350,7 @@ def run_pipeline(config: PipelineConfig):
         )
 
     n_shots = config.survey.n_receivers
+    vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
     abort = _FORK.Event()
     results, sender = _FORK.Pipe(duplex=False)
     reducer = _FORK.Process(
@@ -420,7 +384,6 @@ def run_pipeline(config: PipelineConfig):
         config.pricing.low_priority_discount_factor,
         config.pricing.billing_granularity,
     )
-    vm_counts = _parse_vm_counts(config.report.vm_counts, len(traces))
     cost = report(
         traces, pricing, out_dir=out_dir, vm_counts=vm_counts,
         headline_n_vms=config.map.workers,
@@ -445,17 +408,6 @@ def run_pipeline(config: PipelineConfig):
         },
     )
     return final_image, report_red, cost
-
-
-def _parse_vm_counts(spec: str | None, n_jobs: int) -> list[int]:
-    if spec:
-        return [int(s) for s in spec.split(",")]
-    counts, n = [], 1
-    while n < n_jobs:
-        counts.append(n)
-        n *= 2
-    counts.append(n_jobs)
-    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +439,7 @@ def report(
 
     jobs = [batchsim.JobSpec(t.shot_id, t.wall_seconds / 3600.0) for t in traces]
     if vm_counts is None:
-        vm_counts = _parse_vm_counts(None, len(jobs))
+        vm_counts = batchsim.parse_vm_counts(None, len(jobs))
     rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing)
     curve_csv = out_dir / "idle_cost_curve.csv"
     batchsim.write_curve_csv(rows, curve_csv)

@@ -12,7 +12,9 @@ from rtmcloud.batchsim import (
     PricingModel,
     RuntimeDistribution,
     apply_low_priority,
+    fixed_cluster_bill,
     idle_cost_curve,
+    parse_vm_counts,
     sample_runtimes,
     simulate_batch_pool,
     simulate_fixed_cluster,
@@ -86,9 +88,11 @@ class TestFixedCluster:
         assert starts[2] == 3.0  # FCFS: does not jump the queue
 
     def test_master_vm_billing(self):
-        plain = simulate_fixed_cluster(jobs_from([1.0, 1.0]), 2, EXACT)
-        master = simulate_fixed_cluster(jobs_from([1.0, 1.0]), 2, EXACT, extra_master_vm=True)
-        assert master.cost == pytest.approx(plain.cost + plain.makespan * EXACT.on_demand_rate)
+        pricing = PricingModel(2.5, billing_granularity=60.0)
+        plain = simulate_fixed_cluster(jobs_from([1.0, 0.7]), 2, pricing)
+        billed, cost = fixed_cluster_bill(2, plain.makespan, pricing, extra_master_vm=True)
+        assert billed == pytest.approx(3 * pricing.bill_hours(plain.makespan))
+        assert cost == pytest.approx(3 * pricing.bill_hours(plain.makespan) * 2.5)
 
 
 class TestBatchPool:
@@ -224,6 +228,23 @@ class TestCurvePlacements:
 
     def test_empty_sweep(self):
         assert idle_cost_curve(jobs_from([1.0]), [], EXACT) == []
+
+
+class TestParseVmCounts:
+    def test_list_and_default_sweep(self):
+        assert parse_vm_counts("25, 50,100", 7, "--vm-counts") == [25, 50, 100]
+        assert parse_vm_counts(None, 5) == [1, 2, 4, 5]
+        assert parse_vm_counts(None, 8) == [1, 2, 4, 8]
+        assert parse_vm_counts(None, 1) == [1]
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [("4,,8", "empty item"), ("4,", "empty item"), ("4,eight", "'eight' is not an integer"),
+         ("2.5", "'2.5' is not an integer"), ("4,0", "0 is below 1"), ("-2", "-2 is below 1")],
+    )
+    def test_malformed_list_names_its_source(self, spec, reason):
+        with pytest.raises(ValueError, match=f"^--vm-counts '{spec}': {reason}$"):
+            parse_vm_counts(spec, 10, "--vm-counts")
 
 
 class TestScheduleProperties:

@@ -151,6 +151,25 @@ class TestMapPhase:
         assert [t.attempt for t in traces] == [1, 1, 1, 2, 1, 1, 1, 1]  # shot 3 reran
         assert multiprocessing.active_children() == []
 
+    def test_worker_killed_after_its_trace_is_not_rerun(self, tmp_path, monkeypatch):
+        # the worker that writes shot 2's trace SIGKILLs itself before it
+        # answers the driver; the written trace makes the shot count as done
+        cfg = tiny_config(tmp_path, n_shots=8, workers=2)
+        write = orchestrator._atomic_write_json
+
+        def dies_after_trace(path, obj):
+            write(path, obj)
+            if path.name == "00002.json" and path.parent.name == "done":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(orchestrator, "_atomic_write_json", dies_after_trace)
+        traces = orchestrator.run_map_phase(cfg)
+        assert [t.shot_id for t in traces] == list(range(8))
+        assert [t.attempt for t in traces] == [1] * 8
+        assert len({t.worker_id for t in traces}) == 3  # the first two and a replacement
+        assert FileQueue(cfg.queue_root()).approximate_count() == 8
+        assert multiprocessing.active_children() == []
+
     def test_two_failures_fail_the_phase(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=2, workers=1)
         # a scatterer outside the model makes every attempt of shot setup fail
@@ -180,18 +199,20 @@ class TestMapPhase:
 
 class TestStartupCrashLoop:
     def test_pipeline_fails_fast_and_joins_every_child(self, tmp_path, monkeypatch):
-        # every forked worker inherits the patch and dies before its first claim
-        def broken(data):
-            raise RuntimeError("config unreadable")
+        # every forked worker inherits the patch and dies on its first shot;
+        # one worker makes shot 0 the one that uses up its attempts first
+        def broken(config, shot_id):
+            os._exit(3)
 
-        monkeypatch.setattr(orchestrator, "config_from_dict", broken)
-        cfg = tiny_config(tmp_path, n_shots=4, workers=2)
+        monkeypatch.setattr(orchestrator, "migrate_shot", broken)
+        cfg = tiny_config(tmp_path, n_shots=4, workers=1)
         t0 = time.monotonic()
-        with pytest.raises(orchestrator.MapPhaseError, match="start-up.*exit code 1") as err:
+        with pytest.raises(orchestrator.MapPhaseError, match=r"shot 0 .*exit code 3") as err:
             orchestrator.run_pipeline(cfg)
         assert time.monotonic() - t0 < 10
         assert err.value.traces == []
-        assert len(os.listdir(tmp_path / "out" / "tasks" / "pending")) == 4
+        failed = json.loads((tmp_path / "out" / "tasks" / "failed" / "00000.json").read_text())
+        assert failed == {"shot_id": 0, "attempt": cfg.map.max_attempts}
         assert multiprocessing.active_children() == []
 
 
@@ -271,6 +292,14 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match=r"reduction service .* exited with code -9"):
             orchestrator.run_pipeline(cfg)
         assert time.monotonic() - t0 < 30
+        assert multiprocessing.active_children() == []
+
+    def test_malformed_vm_counts_fail_before_any_fork(self, tmp_path):
+        data = tiny_config(tmp_path).to_dict()
+        data["report"]["vm_counts"] = "1,,2"
+        with pytest.raises(ValueError, match="^report.vm_counts '1,,2': empty item$"):
+            orchestrator.run_pipeline(config_from_dict(data))
+        assert not (tmp_path / "out" / "tasks").exists()
         assert multiprocessing.active_children() == []
 
     def test_dirty_queue_rejected(self, tmp_path):
@@ -447,7 +476,7 @@ class TestCli:
         csv_rows, printed = [], []
         for n in (2, 5, 16):
             fixed = batchsim.simulate_fixed_cluster(jobs, n, pricing)
-            master = batchsim.simulate_fixed_cluster(jobs, n, pricing, extra_master_vm=True)
+            master = (n + 1) * pricing.bill_hours(fixed.makespan) * pricing.on_demand_rate
             ratio = fixed.cost / batch.cost
             csv_rows.append(
                 f"{n},{fixed.makespan:.6f},{fixed.busy_vm_hours:.6f},"
@@ -457,7 +486,7 @@ class TestCli:
             printed.append(
                 f"n_vms={n}: makespan {fixed.makespan:.2f} h, fixed ${fixed.cost:.2f}, "
                 f"batch ${batch.cost:.2f}, ratio {ratio:.3f}, "
-                f"low-priority ${low.cost:.2f}, fixed+master ${master.cost:.2f}"
+                f"low-priority ${low.cost:.2f}, fixed+master ${master:.2f}"
             )
         assert out.read_text().splitlines()[1:] == csv_rows
         assert capsys.readouterr().out.splitlines() == printed + [f"curve written to {out}"]
@@ -479,6 +508,16 @@ class TestCli:
         )
         assert rc == 0
         assert len(calls) == len(sweep) + 1
+
+    @pytest.mark.parametrize("command", ["simulate", "report --paper-numbers"])
+    @pytest.mark.parametrize("spec", ["25,,50", "25,x", "0,25"])
+    def test_malformed_vm_counts_named(self, tmp_path, capsys, command, spec):
+        argv = command.split() + ["--vm-counts", spec]
+        argv += ["--out", str(tmp_path / "c.csv")] if command == "simulate" else \
+            ["--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: --vm-counts '{spec}': ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_report_paper_numbers(self, tmp_path, capsys):
         rc = main(["report", "--paper-numbers", "--out-dir", str(tmp_path / "rep")])
