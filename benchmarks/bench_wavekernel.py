@@ -6,7 +6,10 @@ padded grid, with a source and 48 receivers, and reports steps/second per
 backend plus the speedup.  The forward window injects the source and
 records the traces; the adjoint window injects the data and records the
 source-cell series.  Frame storage and the imaging correlation are left
-out, since at 301^2 the frames of 300 steps take 0.2 GB.  The C kernels come
+out, since at 301^2 the frames of 300 steps take 0.2 GB.  It also reports
+each backend's fixed cost per window call: the median time of a zero-step
+window over ``ZERO_STEP_CALLS`` calls, which is argument checking and the call
+itself, paid once per window however few steps it runs.  The C kernels come
 from the same loader every run uses (compiled on first use, see
 rtmcloud.wavekernel._backend).  The two backends implement the same
 contract (see rtmcloud.wavekernel._stencil_py) term for term, so this is
@@ -20,6 +23,7 @@ Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--json]
 
 import argparse
 import os
+import statistics
 import sys
 import time
 
@@ -27,6 +31,9 @@ import numpy as np
 from trajectory import ROOT, append_entry, commit
 
 from rtmcloud.wavekernel import _backend, _stencil_py, backend_name
+
+# Zero-step window calls timed per backend and kind; their median is the fixed cost.
+ZERO_STEP_CALLS = 2000
 
 
 def load_backends():
@@ -73,6 +80,18 @@ def run(impl, kind, n, steps):
     return steps / elapsed, (*fields, output)
 
 
+def zero_step_seconds(impl, kind, n):
+    """Median seconds of one zero-step ``kind`` window over ZERO_STEP_CALLS calls."""
+    args, _ = window_args(kind, n, 0)
+    window = getattr(impl, f"{kind}_window")
+    times = []
+    for _ in range(ZERO_STEP_CALLS):
+        t0 = time.perf_counter()
+        window(*args)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=301, help="padded grid size (n x n)")
@@ -81,7 +100,7 @@ def main():
     args = ap.parse_args()
 
     backends = load_backends()
-    results = {}
+    results, zero_step = {}, {}
     mismatch = False
     for kind in ("forward", "adjoint"):
         print(f"\n{kind} window, {args.n}x{args.n} grid, {args.steps} steps")
@@ -90,7 +109,9 @@ def main():
             rate, final = run(impl, kind, args.n, args.steps)
             fields[name] = final
             results[(kind, name)] = rate
-            print(f"  {name:>7}: {rate:8.1f} steps/s")
+            zero_step[f"{kind}.{name}"] = zero_step_seconds(impl, kind, args.n) * 1e6
+            print(f"  {name:>7}: {rate:8.1f} steps/s, "
+                  f"zero-step window {zero_step[f'{kind}.{name}']:6.1f} us")
         if len(fields) == 2:
             equal = all(map(np.array_equal, fields["c"], fields["python"]))
             mismatch |= not equal
@@ -105,6 +126,8 @@ def main():
             "n": args.n,
             "steps": args.steps,
             "steps_per_s": {f"{kind}.{name}": rate for (kind, name), rate in results.items()},
+            "zero_step_calls": ZERO_STEP_CALLS,
+            "zero_step_window_us": zero_step,
             "bitwise_equal": not mismatch if len(backends) == 2 else None,
         })
     if mismatch:

@@ -180,10 +180,6 @@ class BlobStore:
             raise BlobCorruptError(f"stored bytes for {blob_id} fail hash verification")
         return data
 
-    def exists(self, blob_id: str) -> bool:
-        _check_id(blob_id)
-        return self._path(blob_id).exists()
-
     def put_image(self, blob: ImageBlob) -> str:
         return self.put(encode_image(blob))
 

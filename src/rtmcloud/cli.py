@@ -14,7 +14,7 @@ from . import batchsim
 from .blobstore import BlobStore, encode_image
 from .config import add_config_flags, config_from_args
 from .msgqueue import FileQueue
-from .reducer import run_reduction_service
+from .reducer import reduction_config, run_reduction_service
 
 # orchestrator, and with it the compiled wave kernel, is imported inside the
 # commands that use it, so `rtm simulate` never loads or compiles the kernel.
@@ -29,7 +29,7 @@ _REFERENCE = {"jobs": 1500, "mean_minutes": 119.28, "rate": 3.629, "quoted_cost"
 def _cmd_generate(args) -> int:
     from . import orchestrator
 
-    config = config_from_args(args)
+    config = args.pipeline
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     model, true_model, plans, dt, nt = orchestrator.build_survey(config)
@@ -62,7 +62,7 @@ def _fmt_dollars(cost: float) -> str:
 def _cmd_run(args) -> int:
     from . import orchestrator
 
-    config = config_from_args(args)
+    config = args.pipeline
     image, red, cost = orchestrator.run_pipeline(config)
     peak = float(abs(image.values).max())
     print(f"final image: {image.nz}x{image.nx}, peak |amplitude| {peak:.3e}")
@@ -83,8 +83,7 @@ def _cmd_run(args) -> int:
 def _cmd_map(args) -> int:
     from . import orchestrator
 
-    config = config_from_args(args)
-    traces = orchestrator.run_map_phase(config)
+    traces = orchestrator.run_map_phase(args.pipeline)
     for t in traces:
         print(
             f"shot {t.shot_id}: worker {t.worker_id}, {t.wall_seconds:.2f}s, "
@@ -95,11 +94,9 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from . import orchestrator
-
-    config = config_from_args(args)
+    config = args.pipeline
     report = run_reduction_service(
-        orchestrator.reduction_config(config),
+        reduction_config(config),
         FileQueue(config.queue_root()),
         BlobStore(config.store_root()),
     )
@@ -239,6 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(args, "config"):  # a pipeline command: check its whole config before any work
+        try:
+            args.pipeline = config = config_from_args(args)
+            batchsim.parse_vm_counts(config.report.vm_counts, config.survey.n_receivers,
+                                     "report.vm_counts")
+            reduction_config(config)
+        except (OSError, ValueError) as exc:  # they name the file or the key at fault
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     return args.fn(args)
 
 

@@ -107,21 +107,21 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-def _from_dict(cls, data: dict):
+def _from_dict(cls, data: dict, prefix: str = ""):
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
             continue
         value = data[f.name]
         if _section(f):
-            kwargs[f.name] = _from_dict(f.default_factory, value)
+            kwargs[f.name] = _from_dict(f.default_factory, value, f"{prefix}{f.name}.")
         elif isinstance(value, list):
             kwargs[f.name] = tuple(value)
         else:
             kwargs[f.name] = value
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise ValueError(f"unknown config keys for {cls.__name__}: {sorted(unknown)}")
+        raise ValueError(f"unknown config keys: {', '.join(prefix + k for k in sorted(unknown))}")
     return cls(**kwargs)
 
 

@@ -35,7 +35,7 @@ from . import batchsim
 from .blobstore import BlobStore, encode_image
 from .config import PipelineConfig
 from .msgqueue import FileQueue, QueueMessage
-from .reducer import ReductionConfig, ReductionReport, run_reduction_service
+from .reducer import ReductionConfig, ReductionReport, reduction_config, run_reduction_service
 from .survey import (
     VelocityModel2D,
     apply_reciprocity,
@@ -292,18 +292,6 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
 
 # ---------------------------------------------------------------------------
 # full pipeline
-
-
-def reduction_config(config: PipelineConfig) -> ReductionConfig:
-    """Reduction service settings for a pipeline config: one leaf per shot."""
-    return ReductionConfig(
-        total_leaves=config.survey.n_receivers,
-        fan_in=config.reduce.fan_in,
-        poll_interval=config.reduce.poll_interval,
-        max_parallel_invocations=config.reduce.parallel,
-        visibility_seconds=config.queue.visibility_seconds,
-        deadline_seconds=config.reduce.deadline,
-    )
 
 
 def _reduction_process(red_cfg: ReductionConfig, queue: FileQueue, store: BlobStore,

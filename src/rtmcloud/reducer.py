@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .blobstore import KIND_IMAGE, BlobStore, encode_image
+from .config import PipelineConfig
 from .msgqueue import FileQueue, QueueMessage
 
 
@@ -57,11 +58,31 @@ class ReductionConfig:
 
     def __post_init__(self):
         if not 2 <= self.fan_in <= 32:
-            raise ValueError("fan_in must be in [2, 32]")
+            raise ValueError(f"fan_in must be in [2, 32], not {self.fan_in}")
         if self.total_leaves < 1:
-            raise ValueError("total_leaves must be >= 1")
+            raise ValueError(f"total_leaves must be >= 1, not {self.total_leaves}")
         if self.max_parallel_invocations < 1:
-            raise ValueError("max_parallel_invocations must be >= 1")
+            raise ValueError(
+                f"max_parallel_invocations must be >= 1, not {self.max_parallel_invocations}")
+
+
+def reduction_config(config: PipelineConfig) -> ReductionConfig:
+    """Reduction service settings for a pipeline config: one leaf per shot.
+    A value out of range raises ValueError naming its config key."""
+    try:
+        return ReductionConfig(
+            total_leaves=config.survey.n_receivers,
+            fan_in=config.reduce.fan_in,
+            poll_interval=config.reduce.poll_interval,
+            max_parallel_invocations=config.reduce.parallel,
+            visibility_seconds=config.queue.visibility_seconds,
+            deadline_seconds=config.reduce.deadline,
+        )
+    except ValueError as exc:  # name the config key the field was read from
+        field_name, _, rest = str(exc).partition(" ")
+        keys = {"fan_in": "reduce.fan_in", "total_leaves": "survey.n_receivers",
+                "max_parallel_invocations": "reduce.parallel"}
+        raise ValueError(f"{keys[field_name]} {rest}") from None
 
 
 @dataclass
@@ -76,15 +97,9 @@ class ReductionReport:
 
 
 def reduce_step(messages: list[QueueMessage], store: BlobStore) -> QueueMessage:
-    """Sum the images referenced by ``messages`` into one stored blob.
-
-    A singleton batch passes through unchanged (nothing stored), which
-    prevents livelock at the root of the reduction tree.
-    """
-    if not messages:
-        raise ValueError("reduce_step needs at least one message")
-    if len(messages) == 1:
-        return messages[0]
+    """Sum the images referenced by two or more ``messages`` into one stored blob."""
+    if len(messages) < 2:
+        raise ValueError(f"reduce_step needs at least two messages, got {len(messages)}")
     blobs = [store.get_image(m.blob_id) for m in messages]
     meta = blobs[0].grid_meta()
     for b in blobs[1:]:

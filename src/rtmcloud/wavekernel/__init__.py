@@ -1,9 +1,10 @@
 """Acoustic wave kernel: forward modeling, adjoint propagation, RTM imaging.
 
-The time loop lives in ``_stencil.c``, a C extension whose window calls
-advance a propagation over many steps at once, and which ``_backend``
-compiles on first use into a per-user cache, with a NumPy fallback
-(``_stencil_py``) selected at import when it cannot be compiled or loaded;
+The time loop lives in ``_stencil.c``, plain C whose window calls advance
+a propagation over many steps at once, and which ``_backend`` compiles on
+first use into a per-user cache and calls through ``ctypes``, with a NumPy
+fallback (``_stencil_py``) selected at import when it cannot be compiled or
+loaded; both check every window's arguments the same way first.
 ``backend_name()`` and ``backend_reason()`` say which runs and why.
 Everything else is set-up and orchestration in ``solver``.
 """

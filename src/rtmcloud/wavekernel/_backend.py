@@ -1,15 +1,15 @@
 """Kernel backend selection: ``_stencil.c`` compiled on first use, NumPy otherwise.
 
-The first import compiles ``_stencil.c`` with the system C compiler into a
-per-user cache, ``$XDG_CACHE_HOME/rtmcloud`` (default ``~/.cache/rtmcloud``),
-under a name keyed by the sha256 of the source, the compiler flags and the
-extension ABI; later imports in fresh interpreters load that file, and
-forked map workers inherit the module already loaded.  An edited
-``_stencil.c`` gets a new key, so a stale build is never loaded, and each
-compile removes this user's builds beyond the newest ``KEEP_BUILDS``.  If
-the home cache cannot be written, the cache is ``<tmp>/rtmcloud-<uid>``.  A
-cache directory or file owned by another user, or writable by group or
-others, is refused and never removed.
+The first import compiles ``_stencil.c``, plain C with no Python headers,
+with the system C compiler into ``_stencil-<key>.so`` in a per-user cache,
+``$XDG_CACHE_HOME/rtmcloud`` (default ``~/.cache/rtmcloud``), keyed by the
+sha256 of the source, the compiler flags and the machine, and loads it with
+``ctypes``; later imports load the cached file, and forked map workers
+inherit it loaded.  An edited ``_stencil.c`` gets a new key, so a stale
+build is never loaded, and each compile removes this user's builds beyond
+the newest ``KEEP_BUILDS``.  If the home cache cannot be written, the cache
+is ``<tmp>/rtmcloud-<uid>``.  A cache directory or file owned by another
+user, or writable by group or others, is refused and never removed.
 
 With no compiler, a failed compile or a failed load, the NumPy kernels in
 ``_stencil_py`` run instead and ``backend_reason()`` says why.  Set
@@ -18,25 +18,27 @@ RTMCLOUD_PURE_PYTHON=1 to use them without trying the compiler.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
-import importlib.machinery
-import importlib.util
 import os
+import sys
 
 from . import _stencil_py
+from ._stencil_py import check_window
 
 # No fused multiply-add: fields stay bitwise equal to the NumPy fallback.
 CFLAGS = "-O3 -ffp-contract=off -shared -fPIC"
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_stencil.c")
 NO_COMPILER = "no C compiler (gcc or cc) on PATH"
 KEEP_BUILDS = 3
-_EXT_SUFFIX = importlib.machinery.EXTENSION_SUFFIXES[0]
+SUFFIX = ".so"
+MACHINE = f"{sys.platform}-{os.uname().machine}"
 
 
-def cache_key(source: bytes, flags: str = CFLAGS, abi: str = _EXT_SUFFIX) -> str:
-    """sha256 over the kernel source, the compiler flags and the ABI suffix."""
+def cache_key(source: bytes, flags: str = CFLAGS, machine: str = MACHINE) -> str:
+    """sha256 over the kernel source, the compiler flags and the machine."""
     h = hashlib.sha256(source)
-    for part in (flags, abi):
+    for part in (flags, machine):
         h.update(b"\0" + part.encode())
     return h.hexdigest()
 
@@ -73,7 +75,6 @@ def _compile(target: str) -> str | None:
     """Build SOURCE into ``target``; the reason it failed, or None."""
     import shutil
     import subprocess
-    import sysconfig
     import tempfile
 
     cc = shutil.which("gcc") or shutil.which("cc")
@@ -84,7 +85,7 @@ def _compile(target: str) -> str | None:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *CFLAGS.split(), "-I", sysconfig.get_paths()["include"], SOURCE, "-o", tmp],
+            [cc, *CFLAGS.split(), SOURCE, "-o", tmp],
             capture_output=True, text=True,
         )
         if proc.returncode != 0:
@@ -100,12 +101,18 @@ def _compile(target: str) -> str | None:
 
 def evict_old_builds(cache: str) -> None:
     """Remove our kernel builds in ``cache`` beyond the newest KEEP_BUILDS;
-    files ``untrusted`` refuses are left alone.  Never raises."""
+    files ``untrusted`` refuses are left alone.  Never raises.
+
+    Only ``_stencil-<key>.so`` names count: the ABI-tagged names of the
+    CPython-extension builds that older checkouts load from the same cache
+    (``_stencil-<key>.cpython-311-x86_64-linux-gnu.so``) are theirs to evict.
+    """
     builds = []
     try:
         for name in os.listdir(cache):
             path = os.path.join(cache, name)
-            if name.startswith("_stencil-") and name.endswith(_EXT_SUFFIX) and not untrusted(path):
+            ours = name.startswith("_stencil-") and name.endswith(SUFFIX) and name.count(".") == 1
+            if ours and not untrusted(path):
                 builds.append((os.stat(path).st_mtime_ns, path))
         for _, path in sorted(builds, reverse=True)[KEEP_BUILDS:]:
             os.unlink(path)
@@ -113,8 +120,50 @@ def evict_old_builds(cache: str) -> None:
         pass  # a build removed under us, or one we may not remove: keep it
 
 
+class Kernel:
+    """The library's windows, called as ``_stencil_py``'s are: each checks its
+    arguments with ``check_window``, steps in C and returns the fields in
+    their roles after the window."""
+
+    def __init__(self, path: str):
+        self.__file__ = path
+        lib = ctypes.CDLL(path)
+        n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
+        self._forward, self._adjoint = lib.forward_window, lib.adjoint_window
+        self._forward.argtypes = [n] * 4 + [p] * 5 + [d, d] + [p] * 3 + [n] + [p] * 4 + [n] * 4
+        self._adjoint.argtypes = [n] * 4 + [p] * 6 + [d, d, n] + [p] * 8 + [n] * 5
+        self._forward.restype = self._adjoint.restype = None
+
+    def forward_window(self, n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
+                       src_idx, src_w, q, rec_idx, rec_w, traces, frames, top, left):
+        ptr = check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2),
+                           (src_idx, src_w), (rec_idx, rec_w), q=q, traces=traces,
+                           frames=frames, top=top, left=left)
+        fz, fx = frames.shape[1:] if frames is not None else (0, 0)
+        self._forward(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, vdt2, mask)), inv_dz2,
+                      inv_dx2, *map(ptr, (src_idx, src_w, q)), len(rec_idx),
+                      *map(ptr, (rec_idx, rec_w, traces, frames)), fz, fx, top, left)
+        k = (n1 - n0) % 3
+        return (prv, cur, nxt)[k:] + (prv, cur, nxt)[:k]
+
+    def adjoint_window(self, n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_idx,
+                       rec_w, data, src_idx, src_w, q_star, frames, image, image_skip_until,
+                       top, left):
+        ptr = check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2),
+                           (src_idx, src_w), (rec_idx, rec_w), data=data, q_star=q_star,
+                           frames=frames, image=image, image_skip_until=image_skip_until,
+                           top=top, left=left)
+        fz, fx = frames.shape[1:] if frames is not None else (0, 0)
+        # ctypes wraps an int past ssize_t; any skip outside [-1, n1] acts as its bound.
+        self._adjoint(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, w, vdt2, mask)), inv_dz2,
+                      inv_dx2, len(rec_idx), *map(ptr, (rec_idx, rec_w, data, src_idx, src_w,
+                                                        q_star, frames, image)),
+                      min(max(image_skip_until, -1), n1), fz, fx, top, left)
+        return (prv, nxt, cur) if (n1 - n0) % 2 else (prv, cur, nxt)
+
+
 def load_stencil():
-    """(compiled module, None), or (None, the reason it is unavailable); never raises."""
+    """(compiled ``Kernel``, None), or (None, the reason it is unavailable); never raises."""
     try:
         with open(SOURCE, "rb") as f:
             key = cache_key(f.read())
@@ -122,7 +171,7 @@ def load_stencil():
         reason = untrusted(cache)
         if reason:
             return None, f"refusing cache directory: {reason}"
-        path = os.path.join(cache, f"_stencil-{key}{_EXT_SUFFIX}")
+        path = os.path.join(cache, f"_stencil-{key}{SUFFIX}")
         if not os.path.exists(path):
             reason = _compile(path)
             if reason:
@@ -131,10 +180,7 @@ def load_stencil():
         reason = untrusted(path)
         if reason:
             return None, f"refusing cached kernel: {reason}"
-        spec = importlib.util.spec_from_file_location(f"{__package__}._stencil", path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        return module, None
+        return Kernel(path), None
     except Exception as exc:  # import must succeed: any failure selects the fallback
         return None, f"{type(exc).__name__}: {exc}"
 

@@ -1,6 +1,6 @@
-"""Pure-NumPy time-window kernels (fallback when the compiled extension is absent).
+"""Pure-NumPy time-window kernels, the reference for the compiled ones.
 
-Same contract as the C extension ``_stencil``: fourth-order Laplacian in
+Same contract as the C kernels in ``_stencil.c``: fourth-order Laplacian in
 space, leapfrog in time, sponge damping folded into the update.  Kernels
 only touch the interior (two-cell halo excluded), so halo cells act as a
 zero Dirichlet rim and stay zero for the whole run.
@@ -10,19 +10,107 @@ each step's injection and extraction at bilinear cells, given as flat
 indices into the padded grid and weights, both shaped ``(n_positions, 4)``.
 It returns the fields in their roles after the window, so a propagation
 split into any windows steps exactly as one window over the whole range.
+Both backends' windows pass their arguments through ``check_window``
+before the first step, so a bad argument raises ValueError with nothing
+stepped, whichever backend runs.
 
 The step kernels make no full-grid temporaries: every ufunc writes through
 ``out=`` into three interior-sized scratch planes, and the result goes into
 the interior of ``nxt`` with one final write.  Every operation follows the
 C kernel's order term for term, and injection adds in ``np.add.at`` order,
-so the fields are bitwise equal to ``_stencil``'s.
+so the fields are bitwise equal to ``_stencil.c``'s.
 """
+
+import numbers
+import operator
 
 import numpy as np
 
 _C0 = -2.5
 _C1 = 4.0 / 3.0
 _C2 = -1.0 / 12.0
+_FLOAT64, _INTP = np.dtype(np.float64), np.dtype(np.intp)
+
+
+def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, traces=None,
+                 data=None, q_star=None, frames=None, image=None, image_skip_until=0, top=0,
+                 left=0):
+    """Raise ValueError unless a window's arguments keep the contract; return
+    a function that gives each argument array's data address (None for None).
+
+    ``state`` holds the fields the window writes, ``coefficients`` the
+    ``(vdt2, mask)`` it reads, ``inv_d2`` is ``(inv_dz2, inv_dx2)``, and
+    ``src`` and ``rec`` are ``(indices, weights)``.  A forward window passes
+    ``q``, an adjoint one ``data``; the rest are its optional series.  The C
+    kernels trust all of this.
+    """
+    try:
+        n0, n1, top, left, _ = map(operator.index, (n0, n1, top, left, image_skip_until))
+    except TypeError:
+        raise ValueError("n0, n1, top, left and image_skip_until must be integers") from None
+    if not all(isinstance(v, numbers.Real) for v in inv_d2):
+        raise ValueError("inv_dz2 and inv_dx2 must be real numbers")
+    if not 0 <= n0 <= n1:
+        raise ValueError(f"window [{n0}, {n1}) must have 0 <= n0 <= n1")
+    forward = q is not None
+    taken = []  # (array, data address, size in bytes, written by the window)
+
+    def take(a, name, ndim, written=False, dtype=_FLOAT64):
+        if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
+                and a.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous {ndim}-D {dtype} array")
+        if written and not a.flags.writeable:
+            raise ValueError(f"{name} must be writable")
+        taken.append((a, a.ctypes.data, a.nbytes, written))  # .ctypes costs the most: read once
+        return a
+
+    def cells(pair, name):
+        idx, w = take(pair[0], name, 2, dtype=_INTP), take(pair[1], name, 2)
+        if idx.shape[1] != 4 or w.shape != idx.shape:
+            raise ValueError(f"{name}: indices and weights must both be (n, 4)")
+        if idx.size and (idx.min() < 0 or idx.max() >= ncells):
+            raise ValueError(f"{name}: a cell index lies outside the {ncells}-cell grid")
+        return len(idx)
+
+    def series(a, name, ndim, written=False, cols=None):
+        if take(a, name, ndim, written).shape[0] < n1 or (ndim == 2 and a.shape[1] != cols):
+            raise ValueError(f"{name} must have at least n1={n1} rows"
+                             + (" and one column per receiver" if ndim == 2 else ""))
+
+    for k, f in enumerate((*state, *coefficients)):
+        if take(f, f"field {k}", 2, k < len(state)).shape != state[0].shape:
+            raise ValueError(f"field {k} must be shaped like field 0")
+    nz, nx = state[0].shape
+    ncells = nz * nx
+    nr = cells(rec, "receiver cells")
+    # An adjoint window needs source cells only for q_star.
+    if forward or q_star is not None or src[0] is not None or src[1] is not None:
+        if cells(src, "source cells") != 1:
+            raise ValueError("source cells must hold one position")
+    if forward:
+        series(q, "q", 1)
+        if traces is not None:
+            series(traces, "traces", 2, True, nr)
+    else:
+        series(data, "data", 2, False, nr)
+        if q_star is not None:
+            series(q_star, "q_star", 1, True)
+        if (frames is None) != (image is None):
+            raise ValueError("frames and image go together")
+    if frames is not None:
+        series(frames, "frames", 3, forward)
+        fz, fx = frames.shape[1:]
+        if image is not None and take(image, "image", 2, True).shape != (fz, fx):
+            raise ValueError("image must be shaped like one frame")
+        if top < 0 or left < 0 or top + fz > nz or left + fx > nx:
+            raise ValueError(f"a {fz} x {fx} interior at ({top}, {left}) leaves the "
+                             f"{nz} x {nx} grid")
+    for i, (_, start, size, written) in enumerate(taken):
+        for _, b_start, b_size, b_written in taken[i + 1:]:
+            if (written or b_written) and start < b_start + b_size and b_start < start + size:
+                raise ValueError("an array the window writes overlaps another argument")
+    addresses = {id(a): start for a, start, _, _ in taken}
+    return lambda a: None if a is None else addresses[id(a)]
 
 
 def _scratch(a):
@@ -100,6 +188,8 @@ def forward_window(n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
     at row ``top``, column ``left`` to ``frames[n]``; either output may be
     None.
     """
+    check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
+                 (rec_idx, rec_w), q=q, traces=traces, frames=frames, top=top, left=left)
     for n in range(n0, n1):
         _forward_step(prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2)
         flat = nxt.reshape(-1)
@@ -122,6 +212,9 @@ def adjoint_window(n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_i
     ``image``.  ``q_star`` (with the source cells) and ``frames`` with
     ``image`` may be None; ``w`` is scratch.
     """
+    check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
+                 (rec_idx, rec_w), data=data, q_star=q_star, frames=frames, image=image,
+                 image_skip_until=image_skip_until, top=top, left=left)
     for n in range(n1 - 1, n0 - 1, -1):
         _adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2)
         flat = nxt.reshape(-1)

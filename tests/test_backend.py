@@ -17,7 +17,7 @@ import pytest
 from rtmcloud.wavekernel import _backend
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-SUFFIX = _backend._EXT_SUFFIX
+SUFFIX = _backend.SUFFIX
 PROBE = (
     "import json; from rtmcloud.wavekernel import _backend as b; "
     "print(json.dumps([b.backend_name(), b.backend_reason(), getattr(b.impl, '__file__', None)]))"
@@ -86,7 +86,7 @@ def test_failed_load_falls_back_with_reason(tmp_path):
     key = _backend.cache_key(Path(_backend.SOURCE).read_bytes())
     (cache / f"_stencil-{key}{SUFFIX}").write_bytes(b"not a shared object")
     name, reason, _ = probe(tmp_path)
-    assert name == "python" and reason.startswith("ImportError")
+    assert name == "python" and reason.startswith("OSError")
 
 
 def test_pure_python_forced(tmp_path):
@@ -112,13 +112,25 @@ def test_unwritable_home_cache_uses_private_temp_dir(tmp_path):
     assert private.stat().st_mode & 0o777 == 0o700
 
 
-def test_cache_key_covers_source_flags_and_abi():
+def test_cache_key_covers_source_flags_and_machine():
     source = Path(_backend.SOURCE).read_bytes()
     key = _backend.cache_key(source)
-    assert key == _backend.cache_key(source, _backend.CFLAGS, SUFFIX)
+    assert key == _backend.cache_key(source, _backend.CFLAGS, _backend.MACHINE)
     assert _backend.cache_key(source + b"\n") != key
     assert _backend.cache_key(source, _backend.CFLAGS.replace("-O3", "-O2")) != key
-    assert _backend.cache_key(source, abi=".cpython-399-x86_64-linux-gnu.so") != key
+    assert _backend.cache_key(source, machine="linux-riscv64") != key
+
+
+def test_kernel_compiles_without_python_headers(tmp_path):
+    """The cached library is plain C, built with no include path."""
+    assert "Python.h" not in Path(_backend.SOURCE).read_text()
+    fake = tmp_path / "fake-bin"
+    fake.mkdir()
+    log = tmp_path / "argv"
+    (fake / "gcc").write_text(f'#!/bin/sh\necho "$@" > {log}\nexec {shutil.which("gcc")} "$@"\n')
+    (fake / "gcc").chmod(0o755)
+    name, _, _ = probe(tmp_path, path=f"{fake}{os.pathsep}{os.environ['PATH']}")
+    assert name == "c" and not any(a.startswith("-I") for a in log.read_text().split())
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707])
@@ -180,10 +192,16 @@ def test_eviction_keeps_newest_builds_and_spares_the_rest(tmp_path):
     os.utime(shared, ns=(0, 0))
     (cache / "notes.txt").write_text("not a build")
     (cache / "_stencil-abc.tmp").write_text("a build in progress")
+    # a CPython-extension build, which an older checkout sharing the cache loads
+    extension = cache / f"_stencil-{0:064x}.cpython-311-x86_64-linux-gnu.so"
+    extension.write_bytes(b"oldest build")
+    extension.chmod(0o755)
+    os.utime(extension, ns=(0, 0))
     _backend.evict_old_builds(str(cache))
     left = sorted(p.name for p in cache.iterdir())
     kept = sorted(p.name for p in builds[-_backend.KEEP_BUILDS:])
-    assert left == sorted(kept + [shared.name, "notes.txt", "_stencil-abc.tmp"])
+    spared = [shared.name, extension.name, "notes.txt", "_stencil-abc.tmp"]
+    assert left == sorted(kept + spared)
 
 
 def test_compile_miss_evicts_older_builds(tmp_path):

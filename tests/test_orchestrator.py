@@ -528,7 +528,29 @@ class TestCli:
         assert (tmp_path / "rep" / "idle_cost_curve.csv").exists()
         assert (tmp_path / "rep" / "runtimes_sorted.csv").exists()
 
-    def test_reduce_cli(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            ("run --report.vm_counts 1,,2", None, "report.vm_counts"),
+            ("generate --report.vm_counts 0,2", None, "report.vm_counts"),
+            ("run --config CFG", {"reduce": {"fan_in": 1}}, "reduce.fan_in"),
+            ("reduce --reduce.fan_in 1", None, "reduce.fan_in"),
+            ("map --config CFG", {"reduce": {"fanin": 2}}, "reduce.fanin"),
+            ("run --survey.n_receivers 0", None, "survey.n_receivers"),
+        ],
+    )
+    def test_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv,
+                                                 config, key):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv.replace("CFG", str(cfg)).split() + ["--out_dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_reduce_cli(self, tmp_path):
         from rtmcloud.blobstore import ImageBlob, encode_image
 
         store = BlobStore(tmp_path / "s")
@@ -536,13 +558,17 @@ class TestCli:
         for i in range(4):
             blob = ImageBlob("image", 2, 2, 1.0, 1.0, 0.0, 0.0, 1, np.full((2, 2), float(i)))
             queue.enqueue(QueueMessage(store.put(encode_image(blob)), 1))
-        rc = main(
-            ["reduce", "--queue", str(tmp_path / "q"), "--store", str(tmp_path / "s"),
-             "--survey.n_receivers", "4", "--reduce.fan_in", "4", "--reduce.parallel", "1",
-             "--reduce.deadline", "30"]
-        )
-        assert rc == 0
-        report = json.loads(capsys.readouterr().out)
+        argv = ["reduce", "--queue", str(tmp_path / "q"), "--store", str(tmp_path / "s"),
+                "--survey.n_receivers", "4", "--reduce.fan_in", "4", "--reduce.parallel", "1",
+                "--reduce.deadline", "30"]
+        # in a fresh interpreter, which shows that reducing never loads the wave kernel
+        code = (f"import sys; from rtmcloud import cli; rc = cli.main({argv!r}); "
+                "print('rtmcloud.wavekernel' in sys.modules, file=sys.stderr); sys.exit(rc)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.strip() == "False"
+        report = json.loads(proc.stdout)
         assert report["invocation_count"] == 1
         final = store.get_image(report["final_blob_id"])
         np.testing.assert_array_equal(final.values, np.full((2, 2), 6.0))

@@ -29,11 +29,12 @@ def put_leaf(store, values, leaf_count=1, **kw):
 
 
 class TestReduceStep:
-    def test_singleton_passes_through_unchanged(self, store):
-        msg = put_leaf(store, np.ones((2, 2)), leaf_count=5)
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_messages_rejected(self, store, n):
+        msgs = [put_leaf(store, np.ones((2, 2)), leaf_count=5)][:n]
         files_before = sum(1 for p in store.root.rglob("*") if p.is_file())
-        out = reduce_step([msg], store)
-        assert out == msg
+        with pytest.raises(ValueError, match="at least two messages"):
+            reduce_step(msgs, store)
         assert sum(1 for p in store.root.rglob("*") if p.is_file()) == files_before
 
     def test_hand_computed_sum(self, store):
@@ -263,9 +264,11 @@ class TestReductionService:
         np.testing.assert_allclose(final.values, np.sum(images, axis=0), rtol=1e-12)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^total_leaves must be"):
             ReductionConfig(total_leaves=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fan_in must be"):
             ReductionConfig(total_leaves=1, fan_in=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fan_in must be"):
             ReductionConfig(total_leaves=1, fan_in=40)
+        with pytest.raises(ValueError, match="^max_parallel_invocations must be"):
+            ReductionConfig(total_leaves=1, max_parallel_invocations=0)

@@ -280,6 +280,63 @@ def _truncated(key):
     return key, lambda a: a[key][:-1].copy()
 
 
+# One window argument made bad, per case; both backends must refuse each.
+BAD_WINDOW_ARGS = pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("mask", lambda a: a["mask"].astype(np.float32)),
+        ("mask", lambda a: np.repeat(a["mask"], 2, axis=1)[:, ::2]),
+        ("mask", lambda a: a["mask"][:, :-1].copy()),
+        ("nxt", lambda a: a["cur"]),
+        ("rec_idx", lambda a: a["rec_idx"].astype(np.int32)),
+        ("rec_idx", lambda a: np.where(a["rec_idx"] == a["rec_idx"].max(), a["mask"].size,
+                                       a["rec_idx"])),
+        ("src_idx", lambda a: a["src_idx"] - a["src_idx"].max() - 1),
+        _truncated("q"),
+        _truncated("data"),
+        _truncated("traces"),
+        _truncated("frames"),
+        _truncated("q_star"),
+        ("n0", lambda a: a["n1"] + 1),
+        ("traces", lambda a: np.broadcast_to(a["traces"], a["traces"].shape)),
+        ("image", lambda a: None),
+        ("image", lambda a: a["image"][:, :-1].copy()),
+        ("top", lambda a: a["mask"].shape[0]),
+        ("n0", lambda a: 0.0),
+        ("image_skip_until", lambda a: None),
+        ("image_skip_until", lambda a: float(a["image_skip_until"])),
+        ("inv_dz2", lambda a: None),
+        ("inv_dx2", lambda a: str(a["inv_dx2"])),
+    ],
+    ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
+         "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
+         "n1_past_frames", "n1_past_q_star", "n0_past_n1", "read_only_traces",
+         "frames_without_image", "image_not_frame_shaped", "interior_past_grid", "n0_float",
+         "skip_none", "skip_float", "inv_dz2_none", "inv_dx2_str"],
+)
+
+
+def assert_rejected(impl, key, bad):
+    """Both of ``impl``'s windows refuse the case with ValueError, nothing stepped."""
+    for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
+        if key not in args:
+            continue
+        # a stepped field would differ from this random state
+        for name in ("prv", "cur", "nxt"):
+            args[name][2:-2, 2:-2] = np.random.default_rng(1).standard_normal(
+                args[name][2:-2, 2:-2].shape)
+        args[key] = bad(args)
+        arrays = [v for v in args.values() if isinstance(v, np.ndarray)]
+        before = [a.copy() for a in arrays]
+        refs = [sys.getrefcount(a) for a in arrays]
+        with pytest.raises(ValueError):
+            getattr(impl, f"{kind}_window")(*args.values())
+        # the failed call holds no reference to any argument
+        assert [sys.getrefcount(a) for a in arrays] == refs, kind
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)  # nothing stepped
+
+
 class TestBackendParity:
     """The NumPy fallback and the C kernels implement one window contract."""
 
@@ -312,46 +369,26 @@ class TestBackendParity:
         assert np.abs(images[1]).max() > 0
         np.testing.assert_array_equal(images[0], images[1])
 
-    @pytest.mark.parametrize(
-        "key, bad",
-        [
-            ("mask", lambda a: a["mask"].astype(np.float32)),
-            ("mask", lambda a: np.repeat(a["mask"], 2, axis=1)[:, ::2]),
-            ("mask", lambda a: a["mask"][:, :-1].copy()),
-            ("nxt", lambda a: a["cur"]),
-            ("rec_idx", lambda a: a["rec_idx"].astype(np.int32)),
-            ("rec_idx", lambda a: np.where(a["rec_idx"] == a["rec_idx"].max(), a["mask"].size,
-                                           a["rec_idx"])),
-            ("src_idx", lambda a: a["src_idx"] - a["src_idx"].max() - 1),
-            _truncated("q"),
-            _truncated("data"),
-            _truncated("traces"),
-            _truncated("frames"),
-            _truncated("q_star"),
-        ],
-        ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
-             "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
-             "n1_past_frames", "n1_past_q_star"],
-    )
+    @pytest.mark.parametrize("skip", [-2**70, 2**70], ids=["below", "above"])
+    def test_image_skip_past_ssize_t(self, c_stencil, skip):
+        # ctypes would wrap such a skip; both backends treat it as its bound
+        images = []
+        for impl in (c_stencil, _stencil_py):
+            _, args = window_case(nt=8)
+            args["image_skip_until"] = skip
+            impl.adjoint_window(*args.values())
+            images.append(args["image"])
+        assert (np.abs(images[0]).max() > 0) == (skip < 0)
+        np.testing.assert_array_equal(images[0], images[1])
+
+    @BAD_WINDOW_ARGS
     def test_bad_field_rejected(self, c_stencil, key, bad):
-        forward, adjoint = window_case(nt=8)
-        for kind, args in (("forward", forward), ("adjoint", adjoint)):
-            if key not in args:
-                continue
-            # a stepped field would differ from this random state
-            for name in ("prv", "cur", "nxt"):
-                args[name][2:-2, 2:-2] = np.random.default_rng(1).standard_normal(
-                    args[name][2:-2, 2:-2].shape)
-            args[key] = bad(args)
-            arrays = [v for v in args.values() if isinstance(v, np.ndarray)]
-            before = [a.copy() for a in arrays]
-            refs = [sys.getrefcount(a) for a in arrays]
-            with pytest.raises(ValueError):
-                getattr(c_stencil, f"{kind}_window")(*args.values())
-            # every buffer taken, the bad one's included, was released again
-            assert [sys.getrefcount(a) for a in arrays] == refs, kind
-            for a, b in zip(arrays, before):
-                np.testing.assert_array_equal(a, b)  # nothing stepped
+        assert_rejected(c_stencil, key, bad)
+
+    @BAD_WINDOW_ARGS
+    def test_fallback_rejects_bad_field(self, key, bad):
+        # The fallback's own test: it runs where there is no C compiler.
+        assert_rejected(_stencil_py, key, bad)
 
 
 class TestBlobSerialization:
