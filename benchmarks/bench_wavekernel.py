@@ -30,7 +30,7 @@ import time
 import numpy as np
 from trajectory import ROOT, append_entry, commit
 
-from rtmcloud.wavekernel import _backend, _stencil_py, backend_name
+from rtmcloud.wavekernel import _backend, _stencil_py, backend_isa, backend_name
 
 # Zero-step window calls timed per backend and kind; their median is the fixed cost.
 ZERO_STEP_CALLS = 2000
@@ -122,6 +122,7 @@ def main():
         append_entry("BENCH_kernel.json", {
             **commit(ROOT),
             "backend": backend_name(),
+            "isa": backend_isa(),
             "nproc": len(os.sched_getaffinity(0)),
             "n": args.n,
             "steps": args.steps,

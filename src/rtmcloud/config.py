@@ -108,6 +108,11 @@ class PipelineConfig:
 
 
 def _from_dict(cls, data: dict, prefix: str = ""):
+    """``cls`` from its JSON section; ValueError naming the dotted key of any
+    unknown key, non-object section or leaf not of its annotated type."""
+    if not isinstance(data, dict):
+        where = f"section {prefix[:-1]}" if prefix else "document"
+        raise ValueError(f"config {where} must be a JSON object, not {data!r}")
     kwargs = {}
     for f in dataclasses.fields(cls):
         if f.name not in data:
@@ -115,10 +120,8 @@ def _from_dict(cls, data: dict, prefix: str = ""):
         value = data[f.name]
         if _section(f):
             kwargs[f.name] = _from_dict(f.default_factory, value, f"{prefix}{f.name}.")
-        elif isinstance(value, list):
-            kwargs[f.name] = tuple(value)
         else:
-            kwargs[f.name] = value
+            kwargs[f.name] = _checked_leaf(cls, f, value, prefix + f.name)
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(prefix + k for k in sorted(unknown))}")
@@ -157,6 +160,26 @@ def _leaf_type(cls, f) -> type:
     hint = get_type_hints(cls)[f.name]
     members = [t for t in get_args(hint) if t is not type(None)]
     return members[0] if members else hint
+
+
+def _is_a(value, typ: type) -> bool:
+    """JSON's view of ``typ``: an int is a float, a bool is neither."""
+    if isinstance(value, bool):
+        return typ is bool
+    return isinstance(value, (int, float) if typ is float else typ)
+
+
+def _checked_leaf(cls, f, value, dotted: str):
+    """``value`` for leaf ``f`` of ``cls``, a list as a tuple of floats."""
+    if value is None and type(None) in get_args(get_type_hints(cls)[f.name]):
+        return None
+    typ = _leaf_type(cls, f)
+    if typ is tuple and isinstance(value, (list, tuple)) and all(_is_a(v, float) for v in value):
+        return tuple(value)
+    if typ is not tuple and _is_a(value, typ):
+        return value
+    what = "a list of numbers" if typ is tuple else f"of type {typ.__name__}"
+    raise ValueError(f"config key {dotted} must be {what}, not {value!r}")
 
 
 def add_config_flags(parser: argparse.ArgumentParser) -> None:

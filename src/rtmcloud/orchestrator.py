@@ -44,6 +44,7 @@ from .survey import (
 )
 from .wavekernel import (
     ImageGrid,
+    backend_isa,
     backend_name,
     backend_reason,
     forward_model,
@@ -76,6 +77,7 @@ class JobTrace:
     backend: str | None = None  # the worker's backend_name(), and why when "python"
     backend_reason: str | None = None
     peak_rss_mb: float | None = None  # the worker's own ru_maxrss when it finished the shot
+    backend_isa: str | None = None  # the worker's backend_isa(): which copy of the C windows ran
 
     def __post_init__(self):
         if self.end < self.start:
@@ -195,7 +197,7 @@ def _map_worker(config: PipelineConfig, conn, done_dir: Path) -> None:
             end = time.time()
             peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
             trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
-                             backend_name(), backend_reason(), peak_mb)
+                             backend_name(), backend_reason(), peak_mb, backend_isa())
             _atomic_write_json(done_dir / f"{shot_id:05d}.json", trace.to_dict())
         except Exception:
             traceback.print_exc(file=sys.stderr)
@@ -390,6 +392,7 @@ def run_pipeline(config: PipelineConfig):
             "backend": {
                 "name": "+".join(sorted({t.backend for t in traces})),
                 "reason": "; ".join(reasons) or None,
+                "isa": "+".join(sorted({t.backend_isa for t in traces if t.backend_isa})) or None,
             },
             # the largest ru_maxrss any map worker reported
             "map": {"peak_rss_mb": max(t.peak_rss_mb for t in traces)},

@@ -5,11 +5,12 @@ a propagation over many steps at once, and which ``_backend`` compiles on
 first use into a per-user cache and calls through ``ctypes``, with a NumPy
 fallback (``_stencil_py``) selected at import when it cannot be compiled or
 loaded; both check every window's arguments the same way first.
-``backend_name()`` and ``backend_reason()`` say which runs and why.
+``backend_name()`` and ``backend_reason()`` say which runs and why, and
+``backend_isa()`` which CPU level's copy of the C windows the loader bound.
 Everything else is set-up and orchestration in ``solver``.
 """
 
-from ._backend import backend_name, backend_reason
+from ._backend import backend_isa, backend_name, backend_reason
 from .solver import (
     CFLViolationError,
     ImageGrid,
@@ -31,6 +32,7 @@ __all__ = [
     "ShotRecord",
     "Wavelet",
     "adjoint_dot_test",
+    "backend_isa",
     "backend_name",
     "backend_reason",
     "default_dt",

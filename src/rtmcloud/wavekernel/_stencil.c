@@ -13,19 +13,48 @@
  * frame interior lie inside the grid, every series has a row for each
  * step, and no array a window writes overlaps another argument.
  *
+ * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
+ * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
+ * x86-64 (SSE2), by target_clones, and the dynamic loader's ifunc resolver
+ * binds the best copy the CPU supports when the library is loaded.
+ * Every helper is always_inline, so each copy vectorizes the whole step
+ * for its own level; kernel_isa() names the copy that runs.  One file thus
+ * runs on any x86-64 CPU, so a cache shared by hosts of different CPU
+ * generations never hands one a build it cannot run, as a -march=native
+ * build would (every worker killed by SIGILL).  Elsewhere, or built with
+ * -DDISPATCH=, there are no clones and the baseline copy runs.
+ *
  * _backend.py builds this file with -ffp-contract=off, so no multiply-add
- * is fused and the fields come out the same on every platform.
+ * is fused, not even by the x86-64-v3 and v4 copies that have FMA: every
+ * copy does the same IEEE operations in the same order, and the fields
+ * come out bitwise the same on every CPU and platform, and equal to the
+ * NumPy fallback's.
  */
 #include <stddef.h>
 #include <string.h>
+
+/* The one switch for the clones: GCC 12 or later (which knows the x86-64-v*
+ * levels) on x86-64 ELF with glibc (whose loader runs ifunc resolvers).
+ * -DDISPATCH= builds the source without them. */
+#if !defined(DISPATCH) && defined(__x86_64__) && defined(__ELF__) && defined(__GLIBC__) \
+    && defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 12
+#define DISPATCH __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#define INLINE static inline __attribute__((always_inline))
+#define CLONED 1
+#else
+#ifndef DISPATCH
+#define DISPATCH
+#endif
+#define INLINE static inline
+#define CLONED 0
+#endif
 
 #define C0 (-2.5)
 #define C1 (4.0 / 3.0)
 #define C2 (-1.0 / 12.0)
 
 /* Fourth-order Laplacian of u at flat index k of a row-major grid nx wide. */
-static inline double laplacian(const double *u, ptrdiff_t k, ptrdiff_t nx,
-                               double inv_dz2, double inv_dx2)
+INLINE double laplacian(const double *u, ptrdiff_t k, ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
     return (C2 * (u[k - 2 * nx] + u[k + 2 * nx]) + C1 * (u[k - nx] + u[k + nx]) + C0 * u[k]) * inv_dz2
          + (C2 * (u[k - 2] + u[k + 2]) + C1 * (u[k - 1] + u[k + 1]) + C0 * u[k]) * inv_dx2;
@@ -34,7 +63,7 @@ static inline double laplacian(const double *u, ptrdiff_t k, ptrdiff_t nx,
 /* Row helpers: each pointer is the start of one row of its field; the
  * stencil reads two rows either side of it. */
 
-static void forward_row(double *restrict nxt, const double *restrict cur, const double *restrict prv,
+INLINE void forward_row(double *restrict nxt, const double *restrict cur, const double *restrict prv,
                         const double *restrict vdt2, const double *restrict mask,
                         ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
@@ -42,20 +71,20 @@ static void forward_row(double *restrict nxt, const double *restrict cur, const 
         nxt[k] = mask[k] * (2.0 * cur[k] - prv[k] + vdt2[k] * laplacian(cur, k, nx, inv_dz2, inv_dx2));
 }
 
-static void damp_row(double *restrict u, const double *restrict mask, ptrdiff_t nx)
+INLINE void damp_row(double *restrict u, const double *restrict mask, ptrdiff_t nx)
 {
     for (ptrdiff_t k = 2; k < nx - 2; k++)
         u[k] = u[k] * mask[k];
 }
 
-static void scale_row(double *restrict w, const double *restrict vdt2, const double *restrict mask,
+INLINE void scale_row(double *restrict w, const double *restrict vdt2, const double *restrict mask,
                       const double *restrict cur, ptrdiff_t nx)
 {
     for (ptrdiff_t k = 2; k < nx - 2; k++)
         w[k] = vdt2[k] * mask[k] * cur[k];
 }
 
-static void adjoint_row(double *restrict nxt, double *restrict prv, const double *restrict cur,
+INLINE void adjoint_row(double *restrict nxt, double *restrict prv, const double *restrict cur,
                         const double *restrict w, const double *restrict mask,
                         ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
@@ -65,7 +94,7 @@ static void adjoint_row(double *restrict nxt, double *restrict prv, const double
     }
 }
 
-static void correlate_row(double *restrict image, const double *restrict frame,
+INLINE void correlate_row(double *restrict image, const double *restrict frame,
                           const double *restrict u, ptrdiff_t n)
 {
     for (ptrdiff_t k = 0; k < n; k++)
@@ -75,7 +104,7 @@ static void correlate_row(double *restrict image, const double *restrict frame,
 /* One damped leapfrog step, nxt = mask*(2*cur - prv + vdt2*lap(cur)), then
  * cur *= mask.  Row i-2 of cur is damped as soon as row i of nxt, its last
  * reader, is done. */
-static void forward_pass(const double *prv, double *cur, double *nxt, const double *vdt2,
+INLINE void forward_pass(const double *prv, double *cur, double *nxt, const double *vdt2,
                          const double *mask, ptrdiff_t nz, ptrdiff_t nx,
                          double inv_dz2, double inv_dx2)
 {
@@ -92,7 +121,7 @@ static void forward_pass(const double *prv, double *cur, double *nxt, const doub
 /* Transpose of forward_pass: w = vdt2*mask*cur, nxt = 2*mask*cur -
  * mask*prv + lap(w), prv = mask*cur.  Row i+2 of w, the last one row i of
  * nxt reads, is filled just ahead of it. */
-static void adjoint_pass(double *prv, const double *cur, double *nxt, double *w,
+INLINE void adjoint_pass(double *prv, const double *cur, double *nxt, double *w,
                          const double *vdt2, const double *mask, ptrdiff_t nz, ptrdiff_t nx,
                          double inv_dz2, double inv_dx2)
 {
@@ -107,7 +136,7 @@ static void adjoint_pass(double *prv, const double *cur, double *nxt, double *w,
 }
 
 /* Sum of u*w over one position's four bilinear corners, left to right. */
-static inline double corners(const double *u, const ptrdiff_t *idx, const double *w)
+INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
 {
     return ((u[idx[0]] * w[0] + u[idx[1]] * w[1]) + u[idx[2]] * w[2]) + u[idx[3]] * w[3];
 }
@@ -119,6 +148,7 @@ static inline double corners(const double *u, const ptrdiff_t *idx, const double
  * weights rw) to row n of tr and the fz x fx interior at (top, left) to
  * frame n of fr; tr and fr may be NULL.  The fields' roles rotate left by
  * one per step. */
+DISPATCH
 void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *prv, double *cur, double *nxt, const double *vdt2, const double *mask,
                     double inv_dz2, double inv_dx2, const ptrdiff_t *si, const double *sw,
@@ -145,6 +175,7 @@ void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
  * weights sw, to qs[n] and, when n > skip, adds frame n of fr times the
  * fz x fx interior at (top, left) to img; qs (with si and sw) and fr with
  * img may be NULL.  w is scratch.  cur and nxt swap roles every step. */
+DISPATCH
 void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *prv, double *cur, double *nxt, double *w, const double *vdt2,
                     const double *mask, double inv_dz2, double inv_dx2, ptrdiff_t nr,
@@ -164,4 +195,18 @@ void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
         cur = nxt;
         nxt = t;
     }
+}
+
+/* The copy of the windows the loader bound: the resolver's own test, the
+ * first of its levels the CPU supports, or "default" with no clones. */
+const char *kernel_isa(void)
+{
+#if CLONED
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("x86-64-v4"))
+        return "x86-64-v4";
+    if (__builtin_cpu_supports("x86-64-v3"))
+        return "x86-64-v3";
+#endif
+    return "default";
 }

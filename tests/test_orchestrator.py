@@ -21,6 +21,7 @@ from rtmcloud.config import PipelineConfig, config_from_args, config_from_dict, 
 from rtmcloud.msgqueue import FileQueue, QueueMessage
 from rtmcloud.reducer import IncompleteReductionError
 from rtmcloud.wavekernel import (
+    backend_isa,
     backend_name,
     backend_reason,
     forward_model,
@@ -65,6 +66,28 @@ class TestConfig:
         path.write_text(json.dumps({"not_a_key": 1}))
         with pytest.raises(ValueError):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [
+            ({"model": {"dz": True}}, "model.dz"),
+            ({"map": {"workers": False}}, "map.workers"),
+            ({"map": {"workers": 2.0}}, "map.workers"),
+            ({"out_dir": 1}, "out_dir"),
+            ({"model": {"layer_velocities": 1500.0}}, "model.layer_velocities"),
+            ({"model": {"layer_velocities": [1500.0, "2000"]}}, "model.layer_velocities"),
+            ({"survey": []}, "section survey"),
+        ],
+    )
+    def test_leaf_of_wrong_type_names_its_key(self, data, key):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict(data)
+
+    def test_json_values_of_leaf_types_accepted(self):
+        cfg = config_from_dict({"model": {"dz": 5, "layer_velocities": [1500, 2000.0]},
+                                "survey": {"dt_record": None}})
+        assert cfg.model.dz == 5 and cfg.model.layer_velocities == (1500, 2000.0)
+        assert cfg.survey.dt_record is None
 
     def test_dotted_flags_override(self):
         parser = build_parser()
@@ -234,7 +257,8 @@ class TestPipeline:
         final_blob = decode_image((tmp_path / "out" / "final_image.rtmb").read_bytes())
         assert final_blob.leaf_count == 4
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["backend"] == {"name": backend_name(), "reason": backend_reason()}
+        assert report["backend"] == {"name": backend_name(), "reason": backend_reason(),
+                                     "isa": backend_isa()}
         done = [json.loads(p.read_text()) for p in (tmp_path / "out" / "tasks" / "done").iterdir()]
         assert report["map"]["peak_rss_mb"] == max(t["peak_rss_mb"] for t in done) > 0
 
@@ -272,7 +296,8 @@ class TestPipeline:
         iz, ix = np.unravel_index(np.argmax(np.abs(image)), image.shape)
         assert abs(iz - 30) <= 3 and abs(ix - 31) <= 3  # the scatterer at z=300, x=310
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert report["backend"] == {"name": "python", "reason": "RTMCLOUD_PURE_PYTHON=1"}
+        assert report["backend"] == {"name": "python", "reason": "RTMCLOUD_PURE_PYTHON=1",
+                                     "isa": None}
 
     def test_reduction_deadline_reaches_caller(self, tmp_path):
         cfg = tiny_config(tmp_path, n_shots=2, workers=1, deadline=0.001)
@@ -537,6 +562,9 @@ class TestCli:
             ("reduce --reduce.fan_in 1", None, "reduce.fan_in"),
             ("map --config CFG", {"reduce": {"fanin": 2}}, "reduce.fanin"),
             ("run --survey.n_receivers 0", None, "survey.n_receivers"),
+            ("run --config CFG", {"reduce": {"fan_in": "x"}}, "reduce.fan_in"),
+            ("run --config CFG", {"reduce": 3}, "section reduce"),
+            ("run --config CFG", {"model": {"nz": 50.5}}, "model.nz"),
         ],
     )
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv,

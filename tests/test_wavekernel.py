@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import platform
 import sys
 
 import numpy as np
@@ -232,14 +233,16 @@ ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "w", "vdt2", "mask", "inv_dz2",
                 "image_skip_until", "top", "left")
 
 
-def window_case(nt=150, seed=3):
+def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     """Window arguments on a small model, forward and adjoint, every output on.
 
     Receivers 0 and 1 lie in the same cell with different weights and
     receiver 2 sits exactly on receiver 0, so injection adds into shared
-    cells and its order shows.
+    cells and its order shows.  ``shape`` is the model's (nz, nx); the
+    fields are 64 cells larger each way.  ``noisy`` starts every interior
+    cell of the fields at a random value, so every cell is live from step 0.
     """
-    model = make_layered_model(20, 24, 10.0, 10.0, [1500.0, 2200.0])
+    model = make_layered_model(*shape, 10.0, 10.0, [1500.0, 2200.0])
     prop = solver._Propagator(model, default_dt(model))
     receivers = ((50.0, 30.0), (55.0, 34.0), (50.0, 30.0), (180.0, 120.0))
     rng = np.random.default_rng(seed)
@@ -255,13 +258,17 @@ def window_case(nt=150, seed=3):
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
                    frames=rng.standard_normal((nt, model.nz, model.nx)),
                    image=np.zeros((model.nz, model.nx)), image_skip_until=nt // 3)
+    if noisy:
+        for f in (forward["prv"], forward["cur"], adjoint["prv"], adjoint["cur"]):
+            f[2:-2, 2:-2] = rng.standard_normal(f[2:-2, 2:-2].shape) * 1e-3
     return ({k: forward[k] for k in FORWARD_ARGS}, {k: adjoint[k] for k in ADJOINT_ARGS})
 
 
-def run_windows(impl, size=None, nt=150):
+def run_windows(impl, size=None, nt=150, **case):
     """A forward then an adjoint propagation over [0, nt) in windows of ``size``
-    steps (one window when None); every field and output afterwards."""
-    forward, adjoint = window_case(nt)
+    steps (one window when None); every field and output afterwards.
+    ``case`` goes to ``window_case``."""
+    forward, adjoint = window_case(nt, **case)
     cuts = [*range(0, nt, size or nt), nt]
     out = {}
     for kind, args, order in (("forward", forward, cuts), ("adjoint", adjoint, cuts[::-1])):
@@ -380,6 +387,26 @@ class TestBackendParity:
             images.append(args["image"])
         assert (np.abs(images[0]).max() > 0) == (skip < 0)
         np.testing.assert_array_equal(images[0], images[1])
+
+    def test_dispatch_off_build_gives_the_same_bits(self, c_stencil, tmp_path):
+        # The copy the loader bound, whichever CPU level it is for, against a
+        # second build of the same source with no clones: the baseline copy.
+        plain = str(tmp_path / "plain.so")
+        assert _backend._compile(plain, _backend.CFLAGS + " -DDISPATCH=") is None
+        baseline = _backend.Kernel(plain)
+        assert baseline.isa == "default"
+        # a 301 x 301 padded grid, all cells live
+        case = dict(nt=40, shape=(237, 237), noisy=True)
+        bound, base = run_windows(c_stencil, **case), run_windows(baseline, **case)
+        assert bound["forward.cur"].shape == (301, 301)
+        for k in bound:
+            assert np.abs(bound[k]).max() > 0, k
+            np.testing.assert_array_equal(bound[k], base[k], err_msg=k)
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.machine() != "x86_64",
+                        reason="the clones are built for x86-64 Linux only")
+    def test_loaded_isa_is_a_listed_level(self, c_stencil):
+        assert c_stencil.isa in ("x86-64-v4", "x86-64-v3", "default")
 
     @BAD_WINDOW_ARGS
     def test_bad_field_rejected(self, c_stencil, key, bad):
