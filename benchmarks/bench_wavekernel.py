@@ -6,7 +6,10 @@ padded grid, with a source and 48 receivers, and reports steps/second per
 backend plus the speedup.  The forward window injects the source and
 records the traces; the adjoint window injects the data and records the
 source-cell series.  Frame storage and the imaging correlation are left
-out, since at 301^2 the frames of 300 steps take 0.2 GB.  It also reports
+out: both windows get no frames (and ``first_frame`` 0).  A frame per step
+of 300 steps of a 301^2 grid would take 300 * 301^2 * 8 bytes = 0.22 GB;
+the solver stores only the interior frames of the steps the image reads,
+``(nt - first_frame) * nz * nx * 8`` bytes per shot.  It also reports
 each backend's fixed cost per window call: the median time of a zero-step
 window over ``ZERO_STEP_CALLS`` calls, which is argument checking and the call
 itself, paid once per window however few steps it runs.  The C kernels come
@@ -65,10 +68,10 @@ def window_args(kind, n, steps, seed=0):
     if kind == "forward":
         traces = np.zeros((steps, len(cols)))
         return head + [src_idx, src_w, rng.standard_normal(steps), rec_idx, rec_w, traces,
-                       None, 0, 0], traces
+                       None, 0, 0, 0], traces
     q_star = np.zeros(steps)
     data = rng.standard_normal((steps, len(cols)))
-    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, None, None, -1, 0, 0], q_star
+    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, None, None, 0, 0, 0], q_star
 
 
 def run(impl, kind, n, steps):

@@ -11,6 +11,12 @@ this package: the reducer's threads live inside the reduction process.  A
 worker therefore inherits the loaded numpy and kernel and starts its first
 shot within milliseconds, and every child is joined, so its resource usage
 reaches ``RUSAGE_CHILDREN``.
+
+No child outlives the driver.  Each child closes the driver's ends of the
+pipes it inherited at fork, so only the driver holds them: a map worker
+then reads EOF from its pipe when the driver dies, and the reduction
+process, watching a lifeline pipe whose write end only the driver holds,
+sets its abort event.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import multiprocessing as mp
 import os
 import resource
 import sys
+import threading
 import time
 import traceback
 from collections import deque
@@ -48,6 +55,7 @@ from .wavekernel import (
     backend_name,
     backend_reason,
     forward_model,
+    frame_layout,
     ricker,
     rtm_shot_image,
     stable_dt,
@@ -155,8 +163,23 @@ def add_point_scatterer(
     return VelocityModel2D(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, v)
 
 
-def migrate_shot(config: PipelineConfig, shot_id: int) -> ImageGrid:
-    """Model synthetic data for one shot and migrate it (one map job)."""
+def frames_buffer(config: PipelineConfig) -> np.ndarray:
+    """An uninitialised array shaped for the source wavefield that
+    ``migrate_shot`` stores for any shot of ``config``."""
+    model, _, _, dt, nt = build_survey(config)
+    _, shape = frame_layout(model, ricker(config.wavelet.peak_frequency, dt, nt), nt)
+    return np.empty(shape)
+
+
+def migrate_shot(config: PipelineConfig, shot_id: int, *,
+                 frames_out: np.ndarray | None = None) -> ImageGrid:
+    """Model synthetic data for one shot and migrate it (one map job).
+
+    The source wavefield goes into ``frames_out``, a ``frames_buffer(config)``
+    array, when given, and into a fresh array otherwise.  A caller that runs
+    many shots passes one buffer to all of them; callers running at once
+    need a buffer each.
+    """
     model, true_model, plans, dt, nt = build_survey(config)
     plan = plans[shot_id]
     wavelet = ricker(config.wavelet.peak_frequency, dt, nt)
@@ -166,7 +189,8 @@ def migrate_shot(config: PipelineConfig, shot_id: int) -> ImageGrid:
     )
     # The background run also stores the source wavefield the image needs.
     rec_bg, frames = forward_model(
-        model, plan.source, wavelet, plan.receivers, dt, nt, shot_id=shot_id
+        model, plan.source, wavelet, plan.receivers, dt, nt, shot_id=shot_id,
+        frames_out=frames_out,
     )
     observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
     return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
@@ -182,32 +206,44 @@ def _atomic_write_json(path: Path, obj: dict) -> None:
     os.replace(tmp, path)
 
 
-def _map_worker(config: PipelineConfig, conn, done_dir: Path) -> None:
+def _map_worker(config: PipelineConfig, conn, done_dir: Path, inherited) -> None:
     """Worker process: migrate and publish each (shot_id, attempt) the driver
-    sends, answer with the shot id, and return when it sends None."""
+    sends, answer with the shot id, and return when it sends None or dies.
+
+    ``inherited`` are the driver's connections that this fork copied; closing
+    them leaves the driver the only holder of this worker's other pipe end.
+    """
+    for c in inherited:
+        c.close()
     store = BlobStore(config.store_root())
     queue = FileQueue(config.queue_root())
     pid = os.getpid()
-    for shot_id, attempt in iter(conn.recv, None):
-        try:
-            start = time.time()
-            image = migrate_shot(config, shot_id)
-            blob_id = store.put_image(image.to_blob(leaf_count=1))
-            queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
-            end = time.time()
-            peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
-            trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
-                             backend_name(), backend_reason(), peak_mb, backend_isa())
-            _atomic_write_json(done_dir / f"{shot_id:05d}.json", trace.to_dict())
-        except Exception:
-            traceback.print_exc(file=sys.stderr)
-            os._exit(1)  # the driver reads EOF and retries or fails the shot
-        conn.send(shot_id)
+    frames = frames_buffer(config)  # every shot's source wavefield, allocated once
+    try:
+        for shot_id, attempt in iter(conn.recv, None):
+            try:
+                start = time.time()
+                image = migrate_shot(config, shot_id, frames_out=frames)
+                blob_id = store.put_image(image.to_blob(leaf_count=1))
+                queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
+                end = time.time()
+                peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB
+                trace = JobTrace(shot_id, pid, start, end, end - start, blob_id, attempt,
+                                 backend_name(), backend_reason(), peak_mb, backend_isa())
+                _atomic_write_json(done_dir / f"{shot_id:05d}.json", trace.to_dict())
+            except Exception:
+                traceback.print_exc(file=sys.stderr)
+                os._exit(1)  # the driver reads EOF and retries or fails the shot
+            conn.send(shot_id)
+    except (EOFError, OSError):
+        pass  # the driver died: nobody is left to hand out shots or read answers
 
 
-def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
+def run_map_phase(config: PipelineConfig, driver_conns=()) -> list[JobTrace]:
     """Run every shot through at most ``map.workers`` forked worker
-    processes; one trace per shot, in shot order.
+    processes; one trace per shot, in shot order.  Each worker closes its
+    copies of ``driver_conns``, the caller's connections that only the
+    caller may hold.
 
     The driver hands each free worker the next shot over its pipe.  When a
     worker dies, the shot it held counts as done if its trace was written;
@@ -258,8 +294,9 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
                     conn = idle.pop()
                 else:
                     conn, child = _FORK.Pipe()
-                    proc = _FORK.Process(target=_map_worker, args=(config, child, done_dir),
-                                         daemon=True)
+                    inherited = (conn, *workers, *driver_conns)
+                    proc = _FORK.Process(target=_map_worker,
+                                         args=(config, child, done_dir, inherited), daemon=True)
                     proc.start()
                     child.close()  # so the worker's death reads as EOF here
                     workers[conn] = [proc, None]
@@ -297,14 +334,27 @@ def run_map_phase(config: PipelineConfig) -> list[JobTrace]:
 
 
 def _reduction_process(red_cfg: ReductionConfig, queue: FileQueue, store: BlobStore,
-                       abort, sender) -> None:
+                       abort, sender, lifeline, inherited) -> None:
     """Reduction process: run the service, send ("report", ReductionReport) or
-    ("error", exception) back to the pipeline driver."""
+    ("error", exception) back to the pipeline driver.  ``inherited`` are the
+    driver's connections this fork copied; ``lifeline`` reads EOF once the
+    driver, its only writer, dies, and a thread then sets ``abort``."""
+    from multiprocessing.connection import wait
+
+    for c in inherited:
+        c.close()
+
+    def watch():
+        wait([lifeline])
+        abort.set()
+
+    threading.Thread(target=watch, name="lifeline", daemon=True).start()
     try:
         result = ("report", run_reduction_service(red_cfg, queue, store, stop_event=abort))
     except BaseException as exc:
         result = ("error", exc)
-    sender.send(result)
+    with contextlib.suppress(BrokenPipeError):  # the driver died: nobody reads the result
+        sender.send(result)
     sender.close()
 
 
@@ -343,24 +393,29 @@ def run_pipeline(config: PipelineConfig):
     vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
     abort = _FORK.Event()
     results, sender = _FORK.Pipe(duplex=False)
+    lifeline, held = _FORK.Pipe(duplex=False)  # the driver writes nothing; it only holds it
     reducer = _FORK.Process(
         target=_reduction_process,
-        args=(reduction_config(config), queue, store, abort, sender),
+        args=(reduction_config(config), queue, store, abort, sender, lifeline, (results, held)),
         name="reduction-service",
         daemon=True,
     )
     reducer.start()
     sender.close()  # so a reducer that dies without a result reads as EOF here
+    lifeline.close()
     try:
-        traces = run_map_phase(config)
-    except BaseException:
-        abort.set()
         try:
-            _reduction_result(reducer, results)
-        except Exception:
-            pass  # the map phase's error is the one to report
-        raise
-    report_red = _reduction_result(reducer, results)
+            traces = run_map_phase(config, driver_conns=(results, held))
+        except BaseException:
+            abort.set()
+            try:
+                _reduction_result(reducer, results)
+            except Exception:
+                pass  # the map phase's error is the one to report
+            raise
+        report_red = _reduction_result(reducer, results)
+    finally:
+        held.close()
 
     final_blob = store.get_image(report_red.final_blob_id)
     if final_blob.leaf_count != n_shots:

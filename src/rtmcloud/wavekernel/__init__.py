@@ -20,6 +20,7 @@ from .solver import (
     adjoint_dot_test,
     default_dt,
     forward_model,
+    frame_layout,
     ricker,
     rtm_shot_image,
     stable_dt,
@@ -37,6 +38,7 @@ __all__ = [
     "backend_reason",
     "default_dt",
     "forward_model",
+    "frame_layout",
     "ricker",
     "rtm_shot_image",
     "stable_dt",

@@ -142,7 +142,7 @@ class Kernel:
         lib = ctypes.CDLL(path)
         n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
         self._forward, self._adjoint = lib.forward_window, lib.adjoint_window
-        self._forward.argtypes = [n] * 4 + [p] * 5 + [d, d] + [p] * 3 + [n] + [p] * 4 + [n] * 4
+        self._forward.argtypes = [n] * 4 + [p] * 5 + [d, d] + [p] * 3 + [n] + [p] * 4 + [n] * 5
         self._adjoint.argtypes = [n] * 4 + [p] * 6 + [d, d, n] + [p] * 8 + [n] * 5
         self._forward.restype = self._adjoint.restype = None
         lib.kernel_isa.restype = ctypes.c_char_p
@@ -150,30 +150,32 @@ class Kernel:
         self.isa = lib.kernel_isa().decode()
 
     def forward_window(self, n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
-                       src_idx, src_w, q, rec_idx, rec_w, traces, frames, top, left):
+                       src_idx, src_w, q, rec_idx, rec_w, traces, frames, first_frame, top, left):
         ptr = check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2),
                            (src_idx, src_w), (rec_idx, rec_w), q=q, traces=traces,
-                           frames=frames, top=top, left=left)
+                           frames=frames, first_frame=first_frame, top=top, left=left)
         fz, fx = frames.shape[1:] if frames is not None else (0, 0)
+        # ctypes wraps an int past ssize_t; a first_frame past n1 acts as n1.
         self._forward(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, vdt2, mask)), inv_dz2,
                       inv_dx2, *map(ptr, (src_idx, src_w, q)), len(rec_idx),
-                      *map(ptr, (rec_idx, rec_w, traces, frames)), fz, fx, top, left)
+                      *map(ptr, (rec_idx, rec_w, traces, frames)), min(first_frame, n1), fz, fx,
+                      top, left)
         k = (n1 - n0) % 3
         return (prv, cur, nxt)[k:] + (prv, cur, nxt)[:k]
 
     def adjoint_window(self, n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_idx,
-                       rec_w, data, src_idx, src_w, q_star, frames, image, image_skip_until,
+                       rec_w, data, src_idx, src_w, q_star, frames, image, first_frame,
                        top, left):
         ptr = check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2),
                            (src_idx, src_w), (rec_idx, rec_w), data=data, q_star=q_star,
-                           frames=frames, image=image, image_skip_until=image_skip_until,
+                           frames=frames, image=image, first_frame=first_frame,
                            top=top, left=left)
         fz, fx = frames.shape[1:] if frames is not None else (0, 0)
-        # ctypes wraps an int past ssize_t; any skip outside [-1, n1] acts as its bound.
+        # ctypes wraps an int past ssize_t; a first_frame past n1 acts as n1.
         self._adjoint(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, w, vdt2, mask)), inv_dz2,
                       inv_dx2, len(rec_idx), *map(ptr, (rec_idx, rec_w, data, src_idx, src_w,
                                                         q_star, frames, image)),
-                      min(max(image_skip_until, -1), n1), fz, fx, top, left)
+                      min(first_frame, n1), fz, fx, top, left)
         return (prv, nxt, cur) if (n1 - n0) % 2 else (prv, cur, nxt)
 
 

@@ -7,11 +7,17 @@
  * step.  Each step's stencil work is one pass over the rows: the per-row
  * helpers take restrict pointers, so gcc vectorizes them.
  *
+ * Both windows take first, the first step whose frame the image reads (the
+ * one after the source has died out): the stored wavefield holds frame n in
+ * row n - first, for n >= first only, and the adjoint correlates only those
+ * steps, so the frames of the source's active steps are never stored.
+ *
  * Plain C over raw pointers and sizes, called through ctypes, that checks
  * nothing: _stencil_py.check_window has checked every argument first, so
  * the arrays are C-contiguous of the sizes passed, cell indices and the
  * frame interior lie inside the grid, every series has a row for each
- * step, and no array a window writes overlaps another argument.
+ * step, the frames one for each step from first on, 0 <= first <= n1, and
+ * no array a window writes overlaps another argument.
  *
  * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
@@ -145,15 +151,16 @@ INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
 
 /* Forward steps n0..n1-1 over nz x nx fields.  Step n injects sw * qs[n] at
  * the source cells si, then writes the traces of the nr receivers (cells ri,
- * weights rw) to row n of tr and the fz x fx interior at (top, left) to
- * frame n of fr; tr and fr may be NULL.  The fields' roles rotate left by
- * one per step. */
+ * weights rw) to row n of tr and, when n >= first, the fz x fx interior at
+ * (top, left) to row n - first of fr; tr and fr may be NULL.  The fields'
+ * roles rotate left by one per step. */
 DISPATCH
 void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *prv, double *cur, double *nxt, const double *vdt2, const double *mask,
                     double inv_dz2, double inv_dx2, const ptrdiff_t *si, const double *sw,
                     const double *qs, ptrdiff_t nr, const ptrdiff_t *ri, const double *rw,
-                    double *tr, double *fr, ptrdiff_t fz, ptrdiff_t fx, ptrdiff_t top, ptrdiff_t left)
+                    double *tr, double *fr, ptrdiff_t first, ptrdiff_t fz, ptrdiff_t fx,
+                    ptrdiff_t top, ptrdiff_t left)
 {
     for (ptrdiff_t n = n0; n < n1; n++) {
         forward_pass(prv, cur, nxt, vdt2, mask, nz, nx, inv_dz2, inv_dx2);
@@ -161,8 +168,9 @@ void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
             nxt[si[c]] += sw[c] * qs[n];
         for (ptrdiff_t r = 0; tr && r < nr; r++)
             tr[n * nr + r] = corners(nxt, ri + 4 * r, rw + 4 * r);
-        for (ptrdiff_t i = 0; fr && i < fz; i++)
-            memcpy(fr + (n * fz + i) * fx, nxt + (top + i) * nx + left, fx * sizeof(double));
+        for (ptrdiff_t i = 0; fr && n >= first && i < fz; i++)
+            memcpy(fr + ((n - first) * fz + i) * fx, nxt + (top + i) * nx + left,
+                   fx * sizeof(double));
         double *t = prv;
         prv = cur;
         cur = nxt;
@@ -172,15 +180,15 @@ void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
 
 /* Adjoint steps n1-1 down to n0.  Step n injects rw * d[n] at the cells ri
  * of the nr receivers, then writes the sum over the source cells si,
- * weights sw, to qs[n] and, when n > skip, adds frame n of fr times the
- * fz x fx interior at (top, left) to img; qs (with si and sw) and fr with
- * img may be NULL.  w is scratch.  cur and nxt swap roles every step. */
+ * weights sw, to qs[n] and, when n >= first, adds row n - first of fr times
+ * the fz x fx interior at (top, left) to img; qs (with si and sw) and fr
+ * with img may be NULL.  w is scratch.  cur and nxt swap roles every step. */
 DISPATCH
 void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *prv, double *cur, double *nxt, double *w, const double *vdt2,
                     const double *mask, double inv_dz2, double inv_dx2, ptrdiff_t nr,
                     const ptrdiff_t *ri, const double *rw, const double *d, const ptrdiff_t *si,
-                    const double *sw, double *qs, const double *fr, double *img, ptrdiff_t skip,
+                    const double *sw, double *qs, const double *fr, double *img, ptrdiff_t first,
                     ptrdiff_t fz, ptrdiff_t fx, ptrdiff_t top, ptrdiff_t left)
 {
     for (ptrdiff_t n = n1 - 1; n >= n0; n--) {
@@ -189,8 +197,9 @@ void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
             nxt[ri[j]] += rw[j] * d[n * nr + j / 4];
         if (qs)
             qs[n] = corners(nxt, si, sw);
-        for (ptrdiff_t i = 0; img && n > skip && i < fz; i++)
-            correlate_row(img + i * fx, fr + (n * fz + i) * fx, nxt + (top + i) * nx + left, fx);
+        for (ptrdiff_t i = 0; img && n >= first && i < fz; i++)
+            correlate_row(img + i * fx, fr + ((n - first) * fz + i) * fx,
+                          nxt + (top + i) * nx + left, fx);
         double *t = cur;
         cur = nxt;
         nxt = t;

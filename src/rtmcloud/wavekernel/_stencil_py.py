@@ -14,6 +14,13 @@ Both backends' windows pass their arguments through ``check_window``
 before the first step, so a bad argument raises ValueError with nothing
 stepped, whichever backend runs.
 
+Both windows take ``first_frame``, the first step whose frame the imaging
+correlation reads.  The stored source wavefield holds the frame of step
+``n`` in row ``n - first_frame``, for ``n >= first_frame`` only: the
+forward window stores those steps and the adjoint window correlates only
+them, so the frames of the steps where the source is still active are
+never stored.
+
 The step kernels make no full-grid temporaries: every ufunc writes through
 ``out=`` into three interior-sized scratch planes, and the result goes into
 the interior of ``nxt`` with one final write.  Every operation follows the
@@ -33,7 +40,7 @@ _FLOAT64, _INTP = np.dtype(np.float64), np.dtype(np.intp)
 
 
 def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, traces=None,
-                 data=None, q_star=None, frames=None, image=None, image_skip_until=0, top=0,
+                 data=None, q_star=None, frames=None, image=None, first_frame=0, top=0,
                  left=0):
     """Raise ValueError unless a window's arguments keep the contract; return
     a function that gives each argument array's data address (None for None).
@@ -45,13 +52,15 @@ def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, trace
     kernels trust all of this.
     """
     try:
-        n0, n1, top, left, _ = map(operator.index, (n0, n1, top, left, image_skip_until))
+        n0, n1, top, left, first_frame = map(operator.index, (n0, n1, top, left, first_frame))
     except TypeError:
-        raise ValueError("n0, n1, top, left and image_skip_until must be integers") from None
+        raise ValueError("n0, n1, top, left and first_frame must be integers") from None
     if not all(isinstance(v, numbers.Real) for v in inv_d2):
         raise ValueError("inv_dz2 and inv_dx2 must be real numbers")
     if not 0 <= n0 <= n1:
         raise ValueError(f"window [{n0}, {n1}) must have 0 <= n0 <= n1")
+    if first_frame < 0:
+        raise ValueError(f"first_frame={first_frame} must be >= 0")
     forward = q is not None
     taken = []  # (array, data address, size in bytes, written by the window)
 
@@ -72,9 +81,9 @@ def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, trace
             raise ValueError(f"{name}: a cell index lies outside the {ncells}-cell grid")
         return len(idx)
 
-    def series(a, name, ndim, written=False, cols=None):
-        if take(a, name, ndim, written).shape[0] < n1 or (ndim == 2 and a.shape[1] != cols):
-            raise ValueError(f"{name} must have at least n1={n1} rows"
+    def series(a, name, ndim, written=False, cols=None, rows=n1):
+        if take(a, name, ndim, written).shape[0] < rows or (ndim == 2 and a.shape[1] != cols):
+            raise ValueError(f"{name} must have at least {rows} rows"
                              + (" and one column per receiver" if ndim == 2 else ""))
 
     for k, f in enumerate((*state, *coefficients)):
@@ -98,7 +107,7 @@ def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, trace
         if (frames is None) != (image is None):
             raise ValueError("frames and image go together")
     if frames is not None:
-        series(frames, "frames", 3, forward)
+        series(frames, "frames", 3, forward, rows=max(n1 - first_frame, 0))
         fz, fx = frames.shape[1:]
         if image is not None and take(image, "image", 2, True).shape != (fz, fx):
             raise ValueError("image must be shaped like one frame")
@@ -180,48 +189,51 @@ def _adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2):
 
 
 def forward_window(n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
-                   src_idx, src_w, q, rec_idx, rec_w, traces, frames, top, left):
+                   src_idx, src_w, q, rec_idx, rec_w, traces, frames, first_frame, top, left):
     """Forward steps ``n0 .. n1-1``; returns ``(prv, cur, nxt)`` after them.
 
     Step n injects ``src_w * q[n]`` at the source cells, then writes the
-    receiver traces to ``traces[n]`` and the ``frames.shape[1:]`` interior
-    at row ``top``, column ``left`` to ``frames[n]``; either output may be
-    None.
+    receiver traces to ``traces[n]`` and, when ``n >= first_frame``, the
+    ``frames.shape[1:]`` interior at row ``top``, column ``left`` to
+    ``frames[n - first_frame]``; either output may be None.
     """
     check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
-                 (rec_idx, rec_w), q=q, traces=traces, frames=frames, top=top, left=left)
+                 (rec_idx, rec_w), q=q, traces=traces, frames=frames, first_frame=first_frame,
+                 top=top, left=left)
     for n in range(n0, n1):
         _forward_step(prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2)
         flat = nxt.reshape(-1)
         np.add.at(flat, src_idx, src_w * q[n])
         if traces is not None:
             traces[n] = _corners(flat[rec_idx] * rec_w)
-        if frames is not None:
-            frames[n] = nxt[top : top + frames.shape[1], left : left + frames.shape[2]]
+        if frames is not None and n >= first_frame:
+            frames[n - first_frame] = nxt[top : top + frames.shape[1],
+                                          left : left + frames.shape[2]]
         prv, cur, nxt = cur, nxt, prv
     return prv, cur, nxt
 
 
 def adjoint_window(n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_idx, rec_w,
-                   data, src_idx, src_w, q_star, frames, image, image_skip_until, top, left):
+                   data, src_idx, src_w, q_star, frames, image, first_frame, top, left):
     """Adjoint steps ``n1-1`` down to ``n0``; returns ``(prv, cur, nxt)`` after them.
 
     Step n injects ``rec_w * data[n]`` at the receiver cells, then writes
-    the source-cell sum to ``q_star[n]`` and, when ``n > image_skip_until``,
-    adds ``frames[n]`` times the interior at (``top``, ``left``) to
-    ``image``.  ``q_star`` (with the source cells) and ``frames`` with
-    ``image`` may be None; ``w`` is scratch.
+    the source-cell sum to ``q_star[n]`` and, when ``n >= first_frame``,
+    adds ``frames[n - first_frame]`` times the interior at (``top``,
+    ``left``) to ``image``.  ``q_star`` (with the source cells) and
+    ``frames`` with ``image`` may be None; ``w`` is scratch.
     """
     check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
                  (rec_idx, rec_w), data=data, q_star=q_star, frames=frames, image=image,
-                 image_skip_until=image_skip_until, top=top, left=left)
+                 first_frame=first_frame, top=top, left=left)
     for n in range(n1 - 1, n0 - 1, -1):
         _adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2)
         flat = nxt.reshape(-1)
         np.add.at(flat, rec_idx, rec_w * data[n][:, None])
         if q_star is not None:
             q_star[n] = _corners(flat[src_idx] * src_w)[0]
-        if image is not None and n > image_skip_until:
-            image += frames[n] * nxt[top : top + image.shape[0], left : left + image.shape[1]]
+        if image is not None and n >= first_frame:
+            image += frames[n - first_frame] * nxt[top : top + image.shape[0],
+                                                   left : left + image.shape[1]]
         cur, nxt = nxt, cur
     return prv, cur, nxt

@@ -8,6 +8,12 @@ true adjoint of modeling.
 
 Here each propagation is set up; its time loop runs in the kernels' windows,
 one call per ``_FINITE_CHECK_EVERY`` steps, with a finiteness check between.
+
+The stored source wavefield has one layout for every caller: the interior
+frames of steps ``first_frame .. nt-1``, frame ``n`` in row
+``n - first_frame``, shaped ``(nt - first_frame, nz, nx)``.  ``first_frame``
+is the step after the source dies out (``frame_layout``); the imaging
+correlation skips the earlier steps, so their frames are never stored.
 """
 
 from __future__ import annotations
@@ -236,34 +242,35 @@ def _windows(lo: int, hi: int, phase: int) -> list[tuple[int, int]]:
     return list(zip(cuts, cuts[1:]))
 
 
-def _run_forward(prop, source, samples, receivers, nt, store_frames):
+def _run_forward(prop, source, samples, receivers, nt, frames=None, first_frame=0):
+    """Forward propagation; returns the traces.  When ``frames`` is given,
+    the window writes the frames of steps ``first_frame .. nt-1`` into it."""
     src = prop.source_cells(source)
     rec = prop.interp_cells(receivers)
     q = np.zeros(nt)
     q[: len(samples)] = samples[:nt]
 
     fields = prop.alloc(), prop.alloc(), prop.alloc()
-    # The windows write every row of both.
+    # The windows write every row.
     traces = np.empty((nt, len(receivers)))
-    frames = np.empty((nt, prop.model.nz, prop.model.nx)) if store_frames else None
     for n0, n1 in _windows(0, nt, 1):
         fields = impl.forward_window(n0, n1, *fields, *prop.coefficients, *src, q, *rec,
-                                     traces, frames, prop.pad_top, prop.pad)
+                                     traces, frames, first_frame, prop.pad_top, prop.pad)
         if (n1 - 1) % _FINITE_CHECK_EVERY == 0:
             _check_finite(fields[1])
     _check_finite(traces)
-    return traces, frames
+    return traces
 
 
-def _run_adjoint(prop, receivers, data, source=None, frames=None, image_skip_until=-1):
+def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0):
     """Time-reversed transpose propagation.
 
     Injects the data with plain bilinear weights (transpose of extraction),
     optionally extracts the adjoint source series at ``source`` and/or
     accumulates the zero-lag correlation image against stored forward
-    ``frames``.  Image contributions at steps <= ``image_skip_until`` are
-    dropped (used to exclude the source's active window).  Returns
-    (adjoint_source or None, image or None).
+    ``frames``, which hold the steps from ``first_frame`` on; earlier steps
+    add nothing to the image (used to exclude the source's active window).
+    Returns (adjoint_source or None, image or None).
     """
     data = np.ascontiguousarray(data)
     nt = data.shape[0]
@@ -273,14 +280,14 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, image_skip_unt
     if frames is not None:
         frames = np.ascontiguousarray(frames, dtype=np.float64)
     image = np.zeros((prop.model.nz, prop.model.nx)) if frames is not None else None
-    # Without q_star, the steps up to image_skip_until would only add skipped image terms.
-    stop = 0 if q_star is not None or image is None else min(nt, max(0, image_skip_until + 1))
+    # Without q_star, the steps before first_frame would only add skipped image terms.
+    stop = 0 if q_star is not None or image is None else min(nt, first_frame)
 
     fields = prop.alloc(), prop.alloc(), prop.alloc()
     w = prop.alloc()
     for n0, n1 in reversed(_windows(stop, nt, -1)):
         fields = impl.adjoint_window(n0, n1, *fields, w, *prop.coefficients, *rec, data, *src,
-                                     q_star, frames, image, image_skip_until, prop.pad_top, prop.pad)
+                                     q_star, frames, image, first_frame, prop.pad_top, prop.pad)
         if (n0 + 1) % _FINITE_CHECK_EVERY == 0:
             _check_finite(fields[1])
     if image is not None:
@@ -297,6 +304,14 @@ def _source_active_until(samples: np.ndarray, nt: int) -> int:
     return int(hot.max()) if hot.size else -1
 
 
+def frame_layout(model: VelocityModel2D, wavelet: Wavelet, nt: int) -> tuple[int, tuple]:
+    """(first_frame, shape) of the source wavefield stored for ``model``,
+    ``wavelet`` and ``nt`` steps: the frames of steps ``first_frame .. nt-1``,
+    the ones the image reads, shaped ``(nt - first_frame, nz, nx)``."""
+    first = _source_active_until(wavelet.samples, nt) + 1
+    return first, (nt - first, model.nz, model.nx)
+
+
 def forward_model(
     model: VelocityModel2D,
     source: tuple,
@@ -307,16 +322,37 @@ def forward_model(
     shot_id: int = 0,
     free_surface: bool = False,
     store_wavefield: bool = True,
+    *,
+    frames_out: np.ndarray | None = None,
 ) -> tuple[ShotRecord, np.ndarray | None]:
     """Model one shot; returns receiver traces and the stored source wavefield.
 
-    The wavefield is the (nt, nz, nx) array of interior frames, one per
-    step, or None when ``store_wavefield`` is false.
+    The wavefield holds the interior frames of the steps the image reads,
+    ``first_frame .. nt-1`` where ``first_frame`` is the step after the
+    wavelet dies out: frame ``n`` is row ``n - first_frame`` of an
+    ``(nt - first_frame, nz, nx)`` array, which ``rtm_shot_image`` takes as
+    its ``frames``.  It is None when ``store_wavefield`` is false.
+
+    Each call allocates a fresh array, so the wavefields of two calls never
+    alias, unless ``frames_out`` is given: the frames are then written into
+    that array, which must be a writable C-contiguous float64 array of the
+    shape above, and it is returned.  A caller that runs many shots keeps
+    one such array and so allocates it once.
     """
     if abs(wavelet.dt - dt) > 1e-15:
         raise ValueError(f"wavelet dt {wavelet.dt:g} != simulation dt {dt:g}")
+    first, shape = frame_layout(model, wavelet, nt)
+    if frames_out is not None:
+        if not (store_wavefield and isinstance(frames_out, np.ndarray)
+                and frames_out.shape == shape and frames_out.dtype == np.float64
+                and frames_out.flags.c_contiguous and frames_out.flags.writeable):
+            raise ValueError(f"frames_out must be a writable C-contiguous float64 array "
+                             f"shaped {shape}, with store_wavefield true")
+        frames = frames_out
+    else:
+        frames = np.empty(shape) if store_wavefield else None  # the window writes every row
     prop = _Propagator(model, dt, free_surface)
-    traces, frames = _run_forward(prop, source, wavelet.samples, receivers, nt, store_wavefield)
+    traces = _run_forward(prop, source, wavelet.samples, receivers, nt, frames, first)
     return ShotRecord(shot_id, tuple(receivers), dt, nt, traces), frames
 
 
@@ -336,30 +372,26 @@ def rtm_shot_image(
 
     ``frames`` is the stored source wavefield that ``forward_model`` returns
     for this model, plan, wavelet and ``free_surface``, shaped
-    ``(observed.nt, model.nz, model.nx)``.  Passing it saves the forward
-    propagation that would otherwise recompute the same frames; the image
-    is the same either way.
+    ``(observed.nt - first_frame, model.nz, model.nx)``.  Passing it saves
+    the forward propagation that would otherwise recompute the same frames;
+    the image is the same either way.  When the wavelet is active up to the
+    last step, ``first_frame`` is ``observed.nt``: no frame is stored and the
+    image is zero.
     """
     if tuple(observed.receivers) != tuple(plan.receivers):
         raise ValueError("observed record receivers do not match the shot plan")
     if abs(wavelet.dt - observed.dt) > 1e-15:
         raise ValueError("wavelet dt does not match the observed record dt")
-    if frames is not None and frames.shape != (observed.nt, model.nz, model.nx):
-        raise ValueError(
-            f"frames shape {frames.shape} != (nt={observed.nt}, nz={model.nz}, nx={model.nx})"
-        )
+    first, shape = frame_layout(model, wavelet, observed.nt)
+    if frames is not None and frames.shape != shape:
+        raise ValueError(f"frames shape {frames.shape} != {shape} (nt - first_frame, nz, nx)")
     prop = _Propagator(model, observed.dt, free_surface)
     if frames is None:
-        _, frames = _run_forward(
-            prop, plan.source, wavelet.samples, plan.receivers, observed.nt, store_frames=True
-        )
-    _, image = _run_adjoint(
-        prop,
-        plan.receivers,
-        observed.traces,
-        frames=frames,
-        image_skip_until=_source_active_until(wavelet.samples, observed.nt),
-    )
+        frames = np.empty(shape)
+        _run_forward(prop, plan.source, wavelet.samples, plan.receivers, observed.nt, frames,
+                     first)
+    _, image = _run_adjoint(prop, plan.receivers, observed.traces, frames=frames,
+                            first_frame=first)
     return ImageGrid(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, image)
 
 
@@ -378,7 +410,7 @@ def adjoint_dot_test(
     q = rng.standard_normal(wavelet_length)
     d = rng.standard_normal((wavelet_length, len(plan.receivers)))
 
-    traces, _ = _run_forward(prop, plan.source, q, plan.receivers, wavelet_length, False)
+    traces = _run_forward(prop, plan.source, q, plan.receivers, wavelet_length)
     q_star, _ = _run_adjoint(prop, plan.receivers, d, source=plan.source)
 
     forward_side = float(np.vdot(traces, d))
@@ -396,6 +428,7 @@ __all__ = [
     "default_dt",
     "ricker",
     "forward_model",
+    "frame_layout",
     "rtm_shot_image",
     "adjoint_dot_test",
     "backend_name",

@@ -2,6 +2,9 @@
 
 Each import runs in a fresh interpreter with its own XDG_CACHE_HOME, because
 the loader decides once, when ``rtmcloud.wavekernel`` is first imported.
+Tests about compiling start from an empty cache; the others find the
+session's one build in theirs (``seed``), since a compile takes about a
+second.
 """
 
 import json
@@ -44,6 +47,25 @@ def no_compiler_path(tmp_path):
     return bare
 
 
+@pytest.fixture(scope="session")
+def built_kernel(tmp_path_factory):
+    """The kernel compiled once for the session, named as the loader names it."""
+    key = _backend.cache_key(Path(_backend.SOURCE).read_bytes())
+    path = tmp_path_factory.mktemp("kernel") / f"_stencil-{key}{SUFFIX}"
+    assert _backend._compile(str(path)) is None
+    return path
+
+
+@pytest.fixture
+def seed(tmp_path, built_kernel):
+    """Put the session's build in this test's private cache, as a first
+    import would have left it."""
+    cache = tmp_path / "cache" / "rtmcloud"
+    cache.mkdir(parents=True)
+    cache.chmod(0o700)
+    shutil.copy(built_kernel, cache)
+
+
 def cached_files(tmp_path):
     return sorted(p.name for p in (tmp_path / "cache" / "rtmcloud").iterdir())
 
@@ -56,7 +78,7 @@ def test_first_import_compiles_into_cache(tmp_path):
     assert kernel == str(tmp_path / "cache" / "rtmcloud" / only)
 
 
-def test_cache_hit_needs_no_compiler(tmp_path):
+def test_cache_hit_needs_no_compiler(tmp_path, seed):
     _, _, kernel = probe(tmp_path)
     built = os.stat(kernel).st_mtime_ns
     assert probe(tmp_path, path=no_compiler_path(tmp_path)) == ["c", None, kernel]
@@ -134,7 +156,7 @@ def test_kernel_compiles_without_python_headers(tmp_path):
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707])
-def test_shared_cache_dir_refused(tmp_path, mode):
+def test_shared_cache_dir_refused(tmp_path, seed, mode):
     probe(tmp_path)
     cache = tmp_path / "cache" / "rtmcloud"
     cache.chmod(mode)
@@ -143,7 +165,7 @@ def test_shared_cache_dir_refused(tmp_path, mode):
     assert reason.startswith("refusing cache directory") and "writable by group or others" in reason
 
 
-def test_shared_kernel_file_refused(tmp_path):
+def test_shared_kernel_file_refused(tmp_path, seed):
     _, _, kernel = probe(tmp_path)
     os.chmod(kernel, 0o775)
     name, reason, _ = probe(tmp_path)
@@ -158,7 +180,7 @@ def test_foreign_owner_refused(tmp_path, monkeypatch):
     assert f"owned by uid {uid}" in _backend.untrusted(str(tmp_path))
 
 
-def test_stale_in_tree_build_ignored(tmp_path):
+def test_stale_in_tree_build_ignored(tmp_path, seed):
     """A stale extension built in place next to _stencil.c is never imported."""
     _, _, kernel = probe(tmp_path)
     tree = tmp_path / "src"
@@ -212,7 +234,7 @@ def test_compile_miss_evicts_older_builds(tmp_path):
     assert cached_files(tmp_path) == sorted(newest + [Path(kernel).name])
 
 
-def test_cache_hit_evicts_nothing(tmp_path):
+def test_cache_hit_evicts_nothing(tmp_path, seed):
     probe(tmp_path)
     fake_builds(tmp_path / "cache" / "rtmcloud", 4)
     before = cached_files(tmp_path)

@@ -29,6 +29,7 @@ from rtmcloud.wavekernel import (
     rtm_shot_image,
     solver,
 )
+from rtmcloud.wavekernel import _backend, _stencil_py
 
 from conftest import rel_diff
 
@@ -160,11 +161,11 @@ class TestMapPhase:
         migrate = orchestrator.migrate_shot
         marker = tmp_path / "killed"
 
-        def dies_once(config, shot_id):
+        def dies_once(config, shot_id, **kw):
             if shot_id == 3 and not marker.exists():
                 marker.touch()
                 os.kill(os.getpid(), signal.SIGKILL)
-            return migrate(config, shot_id)
+            return migrate(config, shot_id, **kw)
 
         monkeypatch.setattr(orchestrator, "migrate_shot", dies_once)
         traces = orchestrator.run_map_phase(cfg)
@@ -207,9 +208,9 @@ class TestMapPhase:
         cfg = tiny_config(tmp_path, n_shots=2, workers=1)
         migrate = orchestrator.migrate_shot
 
-        def heavy(config, shot_id):
+        def heavy(config, shot_id, **kw):
             ballast = np.ones(60 * 2**20 // 8) if shot_id == 1 else None
-            image = migrate(config, shot_id)
+            image = migrate(config, shot_id, **kw)
             del ballast
             return image
 
@@ -220,11 +221,87 @@ class TestMapPhase:
         assert second.peak_rss_mb - first.peak_rss_mb >= 50
 
 
+# A pipeline driver for a subprocess: it records the pid of every process it
+# starts in argv[1] and makes each shot sleep 0.2 s first, so the run is
+# still going when the test kills it.
+DRIVER = """
+import json, sys, time
+import multiprocessing.process as mpp
+from rtmcloud import orchestrator
+from rtmcloud.config import config_from_dict
+
+start, migrate = mpp.BaseProcess.start, orchestrator.migrate_shot
+
+def recording(self):
+    start(self)
+    with open(sys.argv[1], "a") as f:
+        f.write(f"{self.pid}\\n")
+
+def slow(config, shot_id, **kw):
+    time.sleep(0.2)
+    return migrate(config, shot_id, **kw)
+
+mpp.BaseProcess.start, orchestrator.migrate_shot = recording, slow
+with open(sys.argv[2]) as f:
+    orchestrator.run_pipeline(config_from_dict(json.load(f)))
+"""
+
+
+def _alive(pids):
+    """The pids in ``pids`` that are still running (not gone, not a zombie)."""
+    alive = []
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except FileNotFoundError:
+            continue
+        if stat.rpartition(")")[2].split()[0] not in ("Z", "X"):
+            alive.append(pid)
+    return alive
+
+
+class TestDriverDeath:
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads process states from /proc")
+    def test_sigkilled_driver_leaves_no_child(self, tmp_path):
+        cfg = tiny_config(tmp_path, n_shots=64, workers=2)
+        config_path, pids_path = tmp_path / "cfg.json", tmp_path / "pids"
+        config_path.write_text(json.dumps(cfg.to_dict()))
+        done = tmp_path / "out" / "tasks" / "done"
+        children = []
+        with open(tmp_path / "stderr", "w") as err:
+            driver = subprocess.Popen(
+                [sys.executable, "-c", DRIVER, str(pids_path), str(config_path)],
+                env=dict(os.environ, PYTHONPATH=str(SRC)), stderr=err,
+            )
+        try:
+            # wait for the reduction process, both workers and one published shot
+            deadline = time.monotonic() + 60
+            while len(children) < 3 or not any(done.glob("*.json")):
+                assert driver.poll() is None and time.monotonic() < deadline
+                time.sleep(0.02)
+                if pids_path.exists():
+                    children = [int(p) for p in pids_path.read_text().split("\n")[:-1]]
+            driver.kill()
+            driver.wait(timeout=10)
+            gone_by = time.monotonic() + 2
+            while _alive(children) and time.monotonic() < gone_by:
+                time.sleep(0.02)
+            assert _alive(children) == []
+        finally:
+            for pid in _alive(children):
+                os.kill(pid, signal.SIGKILL)
+            if driver.poll() is None:
+                driver.kill()
+                driver.wait()
+        assert len(children) == 3
+        assert "Traceback" not in (tmp_path / "stderr").read_text()
+
+
 class TestStartupCrashLoop:
     def test_pipeline_fails_fast_and_joins_every_child(self, tmp_path, monkeypatch):
         # every forked worker inherits the patch and dies on its first shot;
         # one worker makes shot 0 the one that uses up its attempts first
-        def broken(config, shot_id):
+        def broken(config, shot_id, **kw):
             os._exit(3)
 
         monkeypatch.setattr(orchestrator, "migrate_shot", broken)
@@ -390,6 +467,29 @@ class TestMigrateShot:
         image, composed = runs["migrate_shot"][0], runs["composed"][0]
         assert np.abs(image).max() > 0
         np.testing.assert_array_equal(image, composed)
+
+    @pytest.mark.parametrize("backend", ["c", "python"])
+    def test_reused_buffer_gives_the_same_images(self, tmp_path, monkeypatch, backend):
+        # as a map worker runs its shots: one buffer, any order, repeats too
+        if backend == "c":
+            impl, reason = _backend.load_stencil()
+            if reason == _backend.NO_COMPILER:
+                pytest.skip(reason)
+            assert impl is not None, reason
+        else:
+            impl = _stencil_py
+        monkeypatch.setattr(solver, "impl", impl)
+        data = tiny_config(tmp_path, n_shots=8).to_dict()
+        data["model"].update(nz=41, nx=41)  # small, for the NumPy fallback's sake
+        data["survey"].update(record_time=0.6)
+        cfg = config_from_dict(data)
+        fresh = {shot: orchestrator.migrate_shot(cfg, shot).values for shot in range(8)}
+        buf = orchestrator.frames_buffer(cfg)
+        buf.fill(np.nan)  # a row the forward window misses would poison the image
+        for shot in [*range(8), 3, 0]:
+            image = orchestrator.migrate_shot(cfg, shot, frames_out=buf).values
+            assert np.abs(image).max() > 0
+            np.testing.assert_array_equal(image, fresh[shot], err_msg=f"shot {shot}")
 
 
 class TestStackLinearity:

@@ -130,9 +130,65 @@ class TestForwardModel:
             forward_model(model, (-5.0, 100.0), wavelet, receivers, dt, nt)
 
     def test_wavefield_stored_every_step(self):
+        # every step the image reads: those after the source dies out
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
         _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
-        assert frames.shape == (nt, model.nz, model.nx)
+        first = solver._source_active_until(wavelet.samples, nt) + 1
+        assert 0 < first < nt
+        assert frames.shape == (nt - first, model.nz, model.nx)
+        assert solver.frame_layout(model, wavelet, nt) == (first, frames.shape)
+
+    def test_frames_hold_the_steps_from_first_frame(self):
+        # against every step's frame, stored by a window told to skip none
+        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
+        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        first, _ = solver.frame_layout(model, wavelet, nt)
+        every = np.empty((nt, model.nz, model.nx))
+        solver._run_forward(solver._Propagator(model, dt), source, wavelet.samples, receivers,
+                            nt, every, 0)
+        assert np.abs(frames).max() > 0
+        np.testing.assert_array_equal(frames, every[first:])
+
+    def test_frames_out_is_filled_and_returned(self):
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        buf = np.full_like(frames, np.nan)
+        rec_buf, got = forward_model(model, source, wavelet, receivers, dt, nt, frames_out=buf)
+        assert got is buf
+        np.testing.assert_array_equal(rec_buf.traces, rec.traces)
+        np.testing.assert_array_equal(buf, frames)
+
+    def test_default_calls_never_alias(self):
+        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
+        _, a = forward_model(model, source, wavelet, receivers, dt, nt)
+        _, b = forward_model(model, source, wavelet, receivers, dt, nt)
+        assert not np.shares_memory(a, b)
+
+    @pytest.mark.parametrize("bad", [
+        lambda f: np.empty((f.shape[0] + 1, *f.shape[1:])),
+        lambda f: np.empty((f.shape[0], f.shape[1] - 1, f.shape[2])),
+        lambda f: np.empty(f.shape, dtype=np.float32),
+        lambda f: np.empty((f.shape[0], f.shape[1], 2 * f.shape[2]))[:, :, ::2],
+        lambda f: np.broadcast_to(np.empty(f.shape[1:]), f.shape),
+        lambda f: np.empty(f.shape).tolist(),
+    ], ids=["rows", "nz", "float32", "non_contiguous", "read_only", "not_an_array"])
+    def test_bad_frames_out_rejected(self, monkeypatch, bad):
+        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
+        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        out = bad(frames)
+        before = np.array(out, copy=True)
+        # no kernels: stepping anything would raise AttributeError instead
+        monkeypatch.setattr(solver, "impl", None)
+        with pytest.raises(ValueError, match="frames_out"):
+            forward_model(model, source, wavelet, receivers, dt, nt, frames_out=out)
+        np.testing.assert_array_equal(np.asarray(out), before)
+
+    def test_frames_out_needs_store_wavefield(self):
+        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
+        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        with pytest.raises(ValueError, match="store_wavefield"):
+            forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False,
+                          frames_out=np.empty_like(frames))
 
 
 def scatterer_case(nz=101, nx=101, sc=(50, 51), rel=0.10):
@@ -196,6 +252,19 @@ class TestRtmShotImage:
         with pytest.raises(ValueError, match="frames shape"):
             rtm_shot_image(model, plan, rec, wavelet, frames=np.zeros(shape))
 
+    def test_source_active_to_the_last_step_gives_zero_image(self):
+        # first_frame == nt: no frame is stored and nothing is correlated
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        plan = ShotGatherPlan(0, source, receivers)
+        constant = dataclasses.replace(wavelet, samples=np.ones(nt))
+        rec, frames = forward_model(model, source, constant, receivers, dt, nt)
+        assert solver.frame_layout(model, constant, nt)[0] == nt
+        assert frames.shape == (0, model.nz, model.nx)
+        assert np.abs(rec.traces).max() > 0
+        for given in (frames, None):
+            image = rtm_shot_image(model, plan, rec, constant, frames=given)
+            assert not image.values.any()
+
 
 class TestAdjoint:
     def test_dot_test_small_grid(self):
@@ -227,10 +296,11 @@ def c_stencil():
 
 
 FORWARD_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
-                "src_idx", "src_w", "q", "rec_idx", "rec_w", "traces", "frames", "top", "left")
+                "src_idx", "src_w", "q", "rec_idx", "rec_w", "traces", "frames", "first_frame",
+                "top", "left")
 ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "w", "vdt2", "mask", "inv_dz2", "inv_dx2",
                 "rec_idx", "rec_w", "data", "src_idx", "src_w", "q_star", "frames", "image",
-                "image_skip_until", "top", "left")
+                "first_frame", "top", "left")
 
 
 def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
@@ -241,6 +311,8 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     cells and its order shows.  ``shape`` is the model's (nz, nx); the
     fields are 64 cells larger each way.  ``noisy`` starts every interior
     cell of the fields at a random value, so every cell is live from step 0.
+    Both windows take ``first_frame = nt // 3 + 1``, so the frames hold the
+    steps from there on.
     """
     model = make_layered_model(*shape, 10.0, 10.0, [1500.0, 2200.0])
     prop = solver._Propagator(model, default_dt(model))
@@ -248,16 +320,17 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     rng = np.random.default_rng(seed)
     src_idx, src_w = prop.source_cells((110.0, 90.0))
     rec_idx, rec_w = prop.interp_cells(receivers)
+    first = nt // 3 + 1
     common = dict(n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
                   inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
-                  rec_w=rec_w, top=prop.pad_top, left=prop.pad)
+                  rec_w=rec_w, first_frame=first, top=prop.pad_top, left=prop.pad)
     forward = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
-                   frames=np.zeros((nt, model.nz, model.nx)))
+                   frames=np.zeros((nt - first, model.nz, model.nx)))
     adjoint = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(), w=prop.alloc(),
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
-                   frames=rng.standard_normal((nt, model.nz, model.nx)),
-                   image=np.zeros((model.nz, model.nx)), image_skip_until=nt // 3)
+                   frames=rng.standard_normal((nt - first, model.nz, model.nx)),
+                   image=np.zeros((model.nz, model.nx)))
     if noisy:
         for f in (forward["prv"], forward["cur"], adjoint["prv"], adjoint["cur"]):
             f[2:-2, 2:-2] = rng.standard_normal(f[2:-2, 2:-2].shape) * 1e-3
@@ -310,16 +383,18 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         ("image", lambda a: a["image"][:, :-1].copy()),
         ("top", lambda a: a["mask"].shape[0]),
         ("n0", lambda a: 0.0),
-        ("image_skip_until", lambda a: None),
-        ("image_skip_until", lambda a: float(a["image_skip_until"])),
+        ("first_frame", lambda a: None),
+        ("first_frame", lambda a: float(a["first_frame"])),
+        ("first_frame", lambda a: -1),
         ("inv_dz2", lambda a: None),
         ("inv_dx2", lambda a: str(a["inv_dx2"])),
     ],
+    # first_frame replaced image_skip_until (first_frame - 1): "skip" ids are its cases
     ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
          "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
          "n1_past_frames", "n1_past_q_star", "n0_past_n1", "read_only_traces",
          "frames_without_image", "image_not_frame_shaped", "interior_past_grid", "n0_float",
-         "skip_none", "skip_float", "inv_dz2_none", "inv_dx2_str"],
+         "skip_none", "skip_float", "skip_negative", "inv_dz2_none", "inv_dx2_str"],
 )
 
 
@@ -376,17 +451,23 @@ class TestBackendParity:
         assert np.abs(images[1]).max() > 0
         np.testing.assert_array_equal(images[0], images[1])
 
-    @pytest.mark.parametrize("skip", [-2**70, 2**70], ids=["below", "above"])
-    def test_image_skip_past_ssize_t(self, c_stencil, skip):
-        # ctypes would wrap such a skip; both backends treat it as its bound
-        images = []
+    @pytest.mark.parametrize("first", [-2**70, 2**70], ids=["below", "above"])
+    def test_image_skip_past_ssize_t(self, c_stencil, first):
+        # ctypes would wrap such a first_frame; both backends refuse it below
+        # zero and treat it as n1 above: no frame stored, nothing correlated
+        outputs = []
         for impl in (c_stencil, _stencil_py):
-            _, args = window_case(nt=8)
-            args["image_skip_until"] = skip
-            impl.adjoint_window(*args.values())
-            images.append(args["image"])
-        assert (np.abs(images[0]).max() > 0) == (skip < 0)
-        np.testing.assert_array_equal(images[0], images[1])
+            for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
+                args["first_frame"] = first
+                window = getattr(impl, f"{kind}_window")
+                if first < 0:
+                    with pytest.raises(ValueError, match="first_frame"):
+                        window(*args.values())
+                else:
+                    window(*args.values())
+                    assert np.abs(args["cur"]).max() > 0  # it did step
+                outputs.append(args["frames" if kind == "forward" else "image"])
+        assert not any(o.any() for o in outputs)
 
     def test_dispatch_off_build_gives_the_same_bits(self, c_stencil, tmp_path):
         # The copy the loader bound, whichever CPU level it is for, against a
