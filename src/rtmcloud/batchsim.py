@@ -7,14 +7,22 @@ batch pool bills each VM only while its job runs plus a scale-up latency
 per allocation.  Each job is billed for its own runtime, so the batch cost
 does not depend on the pool size: a sweep over cluster sizes prices the batch
 pool once and places the fixed cluster once per size.
+
+Each placement is one pass over a heap of VM free times.  The leading jobs
+that fit side by side start at t=0 and go into the heap with one ``heapify``;
+each later job takes one heap replacement (plus k-1 pops and pushes for a gang
+job k VMs wide).
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -43,6 +51,9 @@ class PricingModel:
     def __post_init__(self):
         if self.on_demand_rate <= 0:
             raise ValueError("on_demand_rate must be positive")
+        factor = self.low_priority_discount_factor
+        if not 2.0 <= factor <= 3.0:
+            raise ValueError(f"low-priority discount factor {factor} outside [2, 3]")
         if self.billing_granularity < 0:
             raise ValueError("billing_granularity must be >= 0")
 
@@ -119,29 +130,49 @@ def sample_runtimes(dist: RuntimeDistribution, n_jobs: int) -> list[float]:
 
 
 def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, float]]:
-    """List scheduling in job-id order; a job takes the earliest-free VM group."""
+    """List scheduling in job-id order; a job takes the earliest-free VM group.
+
+    The leading jobs whose widths sum to at most ``n_vms`` all start at t=0;
+    their ends (``0.0 + d == d``) go into the heap of VM free times with the
+    idle zeros in one ``heapify``.  Each later job starts at the earliest free
+    time and takes one heap replacement; a gang job of width k first pops k-1
+    VMs, so it starts at the k-th earliest free time, and pushes them back at
+    its end.
+    """
     if not jobs:
         raise ValueError("need at least one job")
-    widest = max(j.vms_per_job for j in jobs)
+    ordered = sorted(jobs, key=attrgetter("job_id"))
+    widths = [j.vms_per_job for j in ordered]
+    widest = max(widths)
     if n_vms < widest:
         raise ValueError(f"{n_vms} VMs cannot run a job needing {widest}")
-    free = [0.0] * n_vms
+    durations = [j.duration for j in ordered]
+    head = bisect.bisect_right(list(itertools.accumulate(widths)), n_vms)
+    ends = durations[:head]
+    # one free time per VM: each leading end, k-1 more for a gang job, idle zeros
+    free = ends + [d for d, k in zip(ends, widths) if k > 1 for _ in range(k - 1)]
+    free += [0.0] * (n_vms - len(free))
     heapq.heapify(free)
-    times = []
-    for job in sorted(jobs, key=lambda j: j.job_id):
-        group = [heapq.heappop(free) for _ in range(job.vms_per_job)]
-        start = group[-1]  # gang start: wait for the last VM of the group
-        end = start + job.duration
-        for _ in group:
-            heapq.heappush(free, end)
-        times.append((job.job_id, start, end))
-    return times
+    starts = [0.0] * head
+    for d, k in zip(durations[head:], widths[head:]):
+        if k > 1:
+            for _ in range(k - 1):
+                heapq.heappop(free)
+        start = free[0]
+        end = start + d
+        heapq.heapreplace(free, end)
+        if k > 1:
+            for _ in range(k - 1):
+                heapq.heappush(free, end)
+        starts.append(start)
+        ends.append(end)
+    return list(zip([j.job_id for j in ordered], starts, ends))
 
 
 def simulate_fixed_cluster(jobs: list[JobSpec], n_vms: int, pricing: PricingModel) -> ScheduleResult:
     """Fixed cluster of ``n_vms``: every VM is billed from t=0 to the makespan."""
     times = _fcfs_schedule(jobs, n_vms)
-    makespan = max(end for _, _, end in times)
+    makespan = max(map(itemgetter(2), times))
     busy = sum(j.duration * j.vms_per_job for j in jobs)
     billed, cost = fixed_cluster_bill(n_vms, makespan, pricing)
     return ScheduleResult("fixed", n_vms, makespan, busy, billed - busy, billed, cost, tuple(times))
@@ -171,7 +202,7 @@ def simulate_batch_pool(
     if scale_latency < 0:
         raise ValueError("scale_latency must be >= 0")
     times = _fcfs_schedule(jobs, max_pool_vms)
-    makespan = max(end for _, _, end in times)
+    makespan = max(map(itemgetter(2), times))
     busy = sum(j.duration * j.vms_per_job for j in jobs)
     latency_h = scale_latency / 3600.0
     billed = sum(
@@ -185,10 +216,8 @@ def simulate_batch_pool(
 
 def apply_low_priority(result: ScheduleResult, pricing: PricingModel) -> ScheduleResult:
     """Discounted (preemptible) billing: cost divided by the 2-3x factor."""
-    factor = pricing.low_priority_discount_factor
-    if not 2.0 <= factor <= 3.0:
-        raise ValueError(f"low-priority discount factor {factor} outside [2, 3]")
-    return replace(result, mode=result.mode + "+low-priority", cost=result.cost / factor)
+    return replace(result, mode=result.mode + "+low-priority",
+                   cost=result.cost / pricing.low_priority_discount_factor)
 
 
 @dataclass(frozen=True)

@@ -106,18 +106,19 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    try:
+    try:  # a bad argument is one error line, before any file is written
         vm_counts = batchsim.parse_vm_counts(args.vm_counts, args.jobs, "--vm-counts")
+        dist = batchsim.RuntimeDistribution(args.mean_minutes, spread=args.spread, seed=args.seed)
+        durations = batchsim.sample_runtimes(dist, args.jobs)
+        jobs = [batchsim.JobSpec(i, d, vms_per_job=args.vms_per_job)
+                for i, d in enumerate(durations)]
+        pricing = batchsim.PricingModel(
+            args.rate, args.discount_factor, billing_granularity=args.granularity
+        )
+        rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing, scale_latency=args.scale_latency)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    dist = batchsim.RuntimeDistribution(args.mean_minutes, spread=args.spread, seed=args.seed)
-    durations = batchsim.sample_runtimes(dist, args.jobs)
-    jobs = [batchsim.JobSpec(i, d, vms_per_job=args.vms_per_job) for i, d in enumerate(durations)]
-    pricing = batchsim.PricingModel(
-        args.rate, args.discount_factor, billing_granularity=args.granularity
-    )
-    rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing, scale_latency=args.scale_latency)
     batchsim.write_curve_csv(rows, args.out)
     for r in rows:
         extra = ""
@@ -152,7 +153,6 @@ def _cmd_simulate(args) -> int:
 def _cmd_report(args) -> int:
     from . import orchestrator
 
-    pricing = batchsim.PricingModel(args.rate, args.discount_factor)
     if args.paper_numbers:
         traces = orchestrator.synthetic_reference_traces()
         headline = 100
@@ -169,6 +169,7 @@ def _cmd_report(args) -> int:
         ]
         headline = args.n_vms
     try:
+        pricing = batchsim.PricingModel(args.rate, args.discount_factor)
         vm_counts = batchsim.parse_vm_counts(args.vm_counts, len(traces), "--vm-counts")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -155,9 +156,15 @@ def _walk(cls, prefix: str = ""):
             yield dotted, cls, f
 
 
+@functools.cache
+def _hints(cls) -> dict:
+    """The resolved field annotations of config dataclass ``cls``."""
+    return get_type_hints(cls)
+
+
 def _leaf_type(cls, f) -> type:
     """The argparse type of a leaf: its annotation, minus any ``| None``."""
-    hint = get_type_hints(cls)[f.name]
+    hint = _hints(cls)[f.name]
     members = [t for t in get_args(hint) if t is not type(None)]
     return members[0] if members else hint
 
@@ -171,7 +178,7 @@ def _is_a(value, typ: type) -> bool:
 
 def _checked_leaf(cls, f, value, dotted: str):
     """``value`` for leaf ``f`` of ``cls``, a list as a tuple of floats."""
-    if value is None and type(None) in get_args(get_type_hints(cls)[f.name]):
+    if value is None and type(None) in get_args(_hints(cls)[f.name]):
         return None
     typ = _leaf_type(cls, f)
     if typ is tuple and isinstance(value, (list, tuple)) and all(_is_a(v, float) for v in value):

@@ -20,7 +20,7 @@ from rtmcloud.batchsim import (
     simulate_fixed_cluster,
 )
 
-from fcfs_oracle import fcfs_oracle
+from fcfs_oracle import fcfs_oracle, reference_placement
 
 EXACT = PricingModel(1.0, billing_granularity=0)
 
@@ -272,6 +272,24 @@ class TestScheduleProperties:
         assert fixed.makespan == pytest.approx(makespan, rel=1e-12)
         assert fixed.busy_vm_hours == pytest.approx(busy, rel=1e-12)
         assert fixed.idle_vm_hours == pytest.approx(idle, rel=1e-12, abs=1e-9)
+
+    @given(
+        durations=st.lists(  # mostly tied durations, some arbitrary
+            st.one_of(st.sampled_from([0.1, 0.25, 0.5, 0.7, 1.0, 1.5]), st.floats(0.02, 8.0)),
+            min_size=1, max_size=14,
+        ),
+        widths=st.lists(st.integers(1, 3), min_size=1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_placement_equals_reference_bitwise(self, durations, widths, data):
+        ids = data.draw(st.permutations(range(len(durations))), label="job ids")
+        jobs = [JobSpec(i, d, widths[k % len(widths)])
+                for k, (i, d) in enumerate(zip(ids, durations))]
+        widest = max(j.vms_per_job for j in jobs)
+        total = sum(j.vms_per_job for j in jobs)
+        n_vms = data.draw(st.integers(widest, total + 4), label="n_vms")
+        assert batchsim._fcfs_schedule(jobs, n_vms) == reference_placement(jobs, n_vms)
 
     def test_deterministic(self):
         jobs = jobs_from(sample_runtimes(RuntimeDistribution(60.0, seed=3), 40))

@@ -644,6 +644,29 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: --vm-counts '{spec}': ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("simulate --jobs 0", "n_jobs must be >= 1"),
+            ("simulate --spread -0.1", "spread must be >= 0"),
+            ("simulate --discount-factor 4", "low-priority discount factor 4.0 outside [2, 3]"),
+            ("simulate --vms-per-job 0", "vms_per_job must be >= 1"),
+            ("simulate --granularity -1", "billing_granularity must be >= 0"),
+            ("simulate --vm-counts 5 --vms-per-job 8", "5 VMs cannot run a job needing 8"),
+            ("report --paper-numbers --discount-factor 4",
+             "low-priority discount factor 4.0 outside [2, 3]"),
+            ("report --paper-numbers --rate 0", "on_demand_rate must be positive"),
+        ],
+    )
+    def test_bad_cost_argument_is_one_error_line(self, tmp_path, capsys, argv, message):
+        argv = argv.split()
+        argv += ["--out", str(tmp_path / "c.csv")] if argv[0] == "simulate" else \
+            ["--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_report_paper_numbers(self, tmp_path, capsys):
         rc = main(["report", "--paper-numbers", "--out-dir", str(tmp_path / "rep")])
         assert rc == 0
