@@ -5,23 +5,30 @@ Runs one forward and one adjoint window of ``--steps`` steps on an n x n
 padded grid, with a source and 48 receivers, and reports steps/second per
 backend plus the speedup.  The forward window injects the source and
 records the traces; the adjoint window injects the data and records the
-source-cell series.  Frame storage and the imaging correlation are left
-out: both windows get no frames (and ``first_frame`` 0).  A frame per step
-of 300 steps of a 301^2 grid would take 300 * 301^2 * 8 bytes = 0.22 GB;
-the solver stores only the interior frames of the steps the image reads,
-``(nt - first_frame) * nz * nx * 8`` bytes per shot.  It also reports
-each backend's fixed cost per window call: the median time of a zero-step
-window over ``ZERO_STEP_CALLS`` calls, which is argument checking and the call
-itself, paid once per window however few steps it runs.  The C kernels come
-from the same loader every run uses (compiled on first use, see
-rtmcloud.wavekernel._backend).  The two backends implement the same
-contract (see rtmcloud.wavekernel._stencil_py) term for term, so this is
-also a check that both produce bitwise-equal fields and outputs; the
-script exits non-zero when they differ.  ``--json`` appends the result,
-with the commit, src tree, backend and nproc, to BENCH_kernel.json at the repository
-root.
+source-cell series.  With ``--frames`` each window also does what a
+migrated shot adds: the forward stores the model interior (the grid less
+its ``PAD``-cell sponge and halo each side) of every step from
+``first_frame = steps // 8`` on, as the solver stores the frames the image
+reads, and the adjoint correlates the same frames into an image.  Without
+it both windows get no frames, and ``first_frame`` 0.  ``--repeat N`` runs
+each backend's windows N times, the backends taking turns inside one
+process, and reports the median with its quartiles, so two backends, or
+two runs of one, are compared under the same conditions rather than
+across processes.
 
-Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--json]
+It also reports each backend's fixed cost per window call: the median
+time of a zero-step window over ``ZERO_STEP_CALLS`` calls, which is
+argument checking and the call itself, paid once per window however few
+steps it runs.  The C kernels come from the same loader every run uses
+(compiled on first use, see rtmcloud.wavekernel._backend).  The two
+backends implement the same contract (see rtmcloud.wavekernel._stencil_py)
+term for term, so this is also a check that both produce bitwise-equal
+fields and outputs; the script exits non-zero when they differ.
+``--json`` appends the result, with the commit, src tree, backend and
+nproc, to BENCH_kernel.json at the repository root.
+
+Usage: python benchmarks/bench_wavekernel.py [--n 301] [--steps 300] [--frames]
+                                             [--repeat N] [--json]
 """
 
 import argparse
@@ -33,10 +40,12 @@ import time
 import numpy as np
 from trajectory import ROOT, append_entry, commit
 
-from rtmcloud.wavekernel import _backend, _stencil_py, backend_isa, backend_name
+from rtmcloud.wavekernel import _backend, _stencil_py, backend_isa, backend_name, solver
 
 # Zero-step window calls timed per backend and kind; their median is the fixed cost.
 ZERO_STEP_CALLS = 2000
+# The cells of sponge and halo the solver pads the model with on each side.
+PAD = solver.SPONGE_CELLS + solver.HALO
 
 
 def load_backends():
@@ -49,10 +58,11 @@ def load_backends():
     return backends
 
 
-def window_args(kind, n, steps, seed=0):
-    """Arguments of one ``kind`` window over [0, steps), in contract order."""
+def window_args(kind, n, steps, frames=False, seed=0):
+    """Arguments of one ``kind`` window over [0, steps), in contract order,
+    and the window's outputs besides the fields."""
     rng = np.random.default_rng(seed)
-    fields = [np.zeros((n, n)) for _ in range(4 if kind == "adjoint" else 3)]
+    fields = [np.zeros((n, n)) for _ in range(3)]
     fields[1][2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4)) * 1e-3
     vdt2 = np.full((n, n), (1500.0 * 0.0015) ** 2)
     mask = np.ones((n, n))
@@ -65,22 +75,29 @@ def window_args(kind, n, steps, seed=0):
     rec_idx = (4 * n + cols)[:, None] + np.array([0, 1, n, n + 1], dtype=np.intp)
     rec_w = np.tile([0.4, 0.1, 0.4, 0.1], (len(cols), 1))
     head = [0, steps, *fields, vdt2, mask, inv_h2, inv_h2]
+    first, side = (steps // 8, max(n - 2 * PAD, 1)) if frames else (0, 0)
+    top = (n - side) // 2
     if kind == "forward":
         traces = np.zeros((steps, len(cols)))
+        # written through once before timing, as a map worker's reused buffer is
+        fr = np.full((steps - first, side, side), 0.0) if frames else None
         return head + [src_idx, src_w, rng.standard_normal(steps), rec_idx, rec_w, traces,
-                       None, 0, 0, 0], traces
+                       fr, first, top, top], (traces,) + ((fr,) if frames else ())
     q_star = np.zeros(steps)
     data = rng.standard_normal((steps, len(cols)))
-    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, None, None, 0, 0, 0], q_star
+    fr = rng.standard_normal((steps - first, side, side)) * 1e-3 if frames else None
+    image = np.zeros((side, side)) if frames else None
+    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, fr, image, first, top,
+                   top], (q_star,) + ((image,) if frames else ())
 
 
-def run(impl, kind, n, steps):
-    args, output = window_args(kind, n, steps)
+def run(impl, kind, n, steps, frames):
+    args, outputs = window_args(kind, n, steps, frames)
     window = getattr(impl, f"{kind}_window")
     t0 = time.perf_counter()
     fields = window(*args)
     elapsed = time.perf_counter() - t0
-    return steps / elapsed, (*fields, output)
+    return steps / elapsed, (*fields, *outputs)
 
 
 def zero_step_seconds(impl, kind, n):
@@ -95,31 +112,47 @@ def zero_step_seconds(impl, kind, n):
     return statistics.median(times)
 
 
+def quartiles(values):
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return median, q1, q3
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=301, help="padded grid size (n x n)")
     ap.add_argument("--steps", type=int, default=300)
+    ap.add_argument("--frames", action="store_true",
+                    help="the forward stores frames and the adjoint correlates them, as a shot does")
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="runs per backend, the backends taking turns in this process")
     ap.add_argument("--json", action="store_true", help="append the result to BENCH_kernel.json")
     args = ap.parse_args()
+    if args.repeat < 1:
+        ap.error("--repeat must be >= 1")
 
     backends = load_backends()
-    results, zero_step = {}, {}
+    rates, zero_step, stats = {}, {}, {}
     mismatch = False
     for kind in ("forward", "adjoint"):
-        print(f"\n{kind} window, {args.n}x{args.n} grid, {args.steps} steps")
-        fields = {}
+        print(f"\n{kind} window, {args.n}x{args.n} grid, {args.steps} steps"
+              f"{', frames' if args.frames else ''}, {args.repeat} run(s) per backend")
+        names = list(backends)
+        finals = {}
+        for i in range(args.repeat):
+            for name in names if i % 2 == 0 else names[::-1]:
+                rate, finals[name] = run(backends[name], kind, args.n, args.steps, args.frames)
+                rates.setdefault(f"{kind}.{name}", []).append(rate)
         for name, impl in backends.items():
-            rate, final = run(impl, kind, args.n, args.steps)
-            fields[name] = final
-            results[(kind, name)] = rate
-            zero_step[f"{kind}.{name}"] = zero_step_seconds(impl, kind, args.n) * 1e6
-            print(f"  {name:>7}: {rate:8.1f} steps/s, "
-                  f"zero-step window {zero_step[f'{kind}.{name}']:6.1f} us")
-        if len(fields) == 2:
-            equal = all(map(np.array_equal, fields["c"], fields["python"]))
+            key = f"{kind}.{name}"
+            stats[key] = quartiles(rates[key])
+            zero_step[key] = zero_step_seconds(impl, kind, args.n) * 1e6
+            print(f"  {name:>7}: {stats[key][0]:8.1f} steps/s [{stats[key][1]:.1f}, "
+                  f"{stats[key][2]:.1f}], zero-step window {zero_step[key]:6.1f} us")
+        if len(finals) == 2:
+            equal = all(map(np.array_equal, finals["c"], finals["python"]))
             mismatch |= not equal
             print(f"  bitwise equal: {'yes' if equal else 'no'}")
-            speedup = results[(kind, "c")] / results[(kind, "python")]
+            speedup = stats[f"{kind}.c"][0] / stats[f"{kind}.python"][0]
             print(f"  speedup: {speedup:.1f}x")
     if args.json:
         append_entry("BENCH_kernel.json", {
@@ -129,7 +162,10 @@ def main():
             "nproc": len(os.sched_getaffinity(0)),
             "n": args.n,
             "steps": args.steps,
-            "steps_per_s": {f"{kind}.{name}": rate for (kind, name), rate in results.items()},
+            "frames": args.frames,
+            "repeat": args.repeat,
+            "steps_per_s": {k: v[0] for k, v in stats.items()},
+            "steps_per_s_quartiles": {k: v[1:] for k, v in stats.items()},
             "zero_step_calls": ZERO_STEP_CALLS,
             "zero_step_window_us": zero_step,
             "bitwise_equal": not mismatch if len(backends) == 2 else None,

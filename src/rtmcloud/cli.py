@@ -243,6 +243,10 @@ def main(argv: list[str] | None = None) -> int:
             batchsim.parse_vm_counts(config.report.vm_counts, config.survey.n_receivers,
                                      "report.vm_counts")
             reduction_config(config)
+            if args.fn is _cmd_run:  # the command that prices its run
+                from .orchestrator import pricing_model
+
+                pricing_model(config)
         except (OSError, ValueError) as exc:  # they name the file or the key at fault
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -378,6 +378,18 @@ def _reduction_result(reducer, results) -> ReductionReport:
     return value
 
 
+def pricing_model(config: PipelineConfig) -> batchsim.PricingModel:
+    """The run's pricing; a value out of range raises ValueError naming its
+    ``pricing.`` key."""
+    values = dataclasses.asdict(config.pricing)
+    for key, value in values.items():  # one at a time, to name the key at fault
+        try:
+            dataclasses.replace(batchsim.PricingModel(1.0), **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"pricing.{key}: {exc}") from None
+    return batchsim.PricingModel(**values)
+
+
 def run_pipeline(config: PipelineConfig):
     """Map and reduce concurrently; returns (ImageGrid, ReductionReport, CostReport)."""
     out_dir = Path(config.out_dir)
@@ -391,6 +403,7 @@ def run_pipeline(config: PipelineConfig):
 
     n_shots = config.survey.n_receivers
     vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
+    pricing = pricing_model(config)
     abort = _FORK.Event()
     results, sender = _FORK.Pipe(duplex=False)
     lifeline, held = _FORK.Pipe(duplex=False)  # the driver writes nothing; it only holds it
@@ -424,11 +437,6 @@ def run_pipeline(config: PipelineConfig):
         )
     final_image = ImageGrid.from_blob(final_blob)
 
-    pricing = batchsim.PricingModel(
-        config.pricing.on_demand_rate,
-        config.pricing.low_priority_discount_factor,
-        config.pricing.billing_granularity,
-    )
     cost = report(
         traces, pricing, out_dir=out_dir, vm_counts=vm_counts,
         headline_n_vms=config.map.workers,

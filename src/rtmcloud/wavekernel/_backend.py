@@ -132,6 +132,13 @@ def evict_old_builds(cache: str) -> None:
         pass  # a build removed under us, or one we may not remove: keep it
 
 
+def _roles_after(fields, steps):
+    """The fields ``(prv, cur, nxt)`` in their roles after ``steps`` steps,
+    each of which rotates them left by one."""
+    k = steps % 3
+    return fields[k:] + fields[:k]
+
+
 class Kernel:
     """The library's windows, called as ``_stencil_py``'s are: each checks its
     arguments with ``check_window``, steps in C and returns the fields in
@@ -143,8 +150,8 @@ class Kernel:
         n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
         self._forward, self._adjoint = lib.forward_window, lib.adjoint_window
         self._forward.argtypes = [n] * 4 + [p] * 5 + [d, d] + [p] * 3 + [n] + [p] * 4 + [n] * 5
-        self._adjoint.argtypes = [n] * 4 + [p] * 6 + [d, d, n] + [p] * 8 + [n] * 5
-        self._forward.restype = self._adjoint.restype = None
+        self._adjoint.argtypes = [n] * 4 + [p] * 5 + [d, d, n] + [p] * 8 + [n] * 5
+        self._forward.restype, self._adjoint.restype = None, ctypes.c_int
         lib.kernel_isa.restype = ctypes.c_char_p
         # the copy of the windows the loader bound, e.g. "x86-64-v3"
         self.isa = lib.kernel_isa().decode()
@@ -160,23 +167,23 @@ class Kernel:
                       inv_dx2, *map(ptr, (src_idx, src_w, q)), len(rec_idx),
                       *map(ptr, (rec_idx, rec_w, traces, frames)), min(first_frame, n1), fz, fx,
                       top, left)
-        k = (n1 - n0) % 3
-        return (prv, cur, nxt)[k:] + (prv, cur, nxt)[:k]
+        return _roles_after((prv, cur, nxt), n1 - n0)
 
-    def adjoint_window(self, n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_idx,
+    def adjoint_window(self, n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2, rec_idx,
                        rec_w, data, src_idx, src_w, q_star, frames, image, first_frame,
                        top, left):
-        ptr = check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2),
+        ptr = check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2),
                            (src_idx, src_w), (rec_idx, rec_w), data=data, q_star=q_star,
                            frames=frames, image=image, first_frame=first_frame,
                            top=top, left=left)
         fz, fx = frames.shape[1:] if frames is not None else (0, 0)
         # ctypes wraps an int past ssize_t; a first_frame past n1 acts as n1.
-        self._adjoint(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, w, vdt2, mask)), inv_dz2,
-                      inv_dx2, len(rec_idx), *map(ptr, (rec_idx, rec_w, data, src_idx, src_w,
-                                                        q_star, frames, image)),
-                      min(first_frame, n1), fz, fx, top, left)
-        return (prv, nxt, cur) if (n1 - n0) % 2 else (prv, cur, nxt)
+        if self._adjoint(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, vdt2, mask)), inv_dz2,
+                         inv_dx2, len(rec_idx), *map(ptr, (rec_idx, rec_w, data, src_idx, src_w,
+                                                           q_star, frames, image)),
+                         min(first_frame, n1), fz, fx, top, left):
+            raise MemoryError("adjoint_window could not allocate its row ring")
+        return _roles_after((prv, cur, nxt), n1 - n0)
 
 
 def load_stencil():

@@ -4,20 +4,44 @@
  * One call advances the fields over a window of steps and does each step's
  * injection, extraction, frame storage and imaging correlation as well, so
  * a propagation crosses from Python into C once per window, not once per
- * step.  Each step's stencil work is one pass over the rows: the per-row
- * helpers take restrict pointers, so gcc vectorizes them.
+ * step.  The per-row helpers take restrict pointers, so gcc vectorizes them.
+ *
+ * The sponge is applied on read: the previous field is stored undamped, and
+ * each step multiplies it by the mask as it reads it.  That is the product
+ * a separate damping pass used to store, so the bits are the same and no
+ * pass over the grid does damping alone.  The adjoint's scaled field
+ * w = vdt2*mask*cur lives in a ring of five rows inside the call, row i+2
+ * of w computed in the same loop as row i of the result, so no grid-sized
+ * scratch plane is passed or written.
+ *
+ * The forward advances two steps per sweep: one pass over the rows computes
+ * steps n and n+1, step n+1 running lag rows behind step n, where lag =
+ * (last row - first row of the source cells) + 3.  Step n injects as soon
+ * as the last row of its source cells is computed, so every row step n+1
+ * reads is final, injection included; source cells that span every row
+ * make the lag cover the whole grid, and the two steps run one after the
+ * other.  Step n+1 writes the buffer step n read as its previous field,
+ * never the one holding step n's result, so both steps' traces and frames
+ * are taken after the sweep.  An odd remainder runs one step through the
+ * same row function.  The cur and mask rows of a sweep are read from the
+ * caches once for two steps instead of once per step.  The adjoint
+ * advances one step per sweep: with its five-row ring for each step, two
+ * interleaved steps measured slower than one at the default grid.
  *
  * Both windows take first, the first step whose frame the image reads (the
  * one after the source has died out): the stored wavefield holds frame n in
  * row n - first, for n >= first only, and the adjoint correlates only those
- * steps, so the frames of the source's active steps are never stored.
+ * steps, so the frames of the source's active steps are never stored.  On
+ * x86-64 the forward writes the frames with non-temporal stores, past the
+ * caches, which they would otherwise fill with lines read back only by
+ * the adjoint, long after.
  *
  * Plain C over raw pointers and sizes, called through ctypes, that checks
  * nothing: _stencil_py.check_window has checked every argument first, so
- * the arrays are C-contiguous of the sizes passed, cell indices and the
- * frame interior lie inside the grid, every series has a row for each
- * step, the frames one for each step from first on, 0 <= first <= n1, and
- * no array a window writes overlaps another argument.
+ * the arrays are C-contiguous of the sizes passed, at least 5 x 5, cell
+ * indices and the frame interior lie inside the grid, every series has a
+ * row for each step, the frames one for each step from first on,
+ * 0 <= first <= n1, and no array a window writes overlaps another argument.
  *
  * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
@@ -37,6 +61,8 @@
  * NumPy fallback's.
  */
 #include <stddef.h>
+#include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 /* The one switch for the clones: GCC 12 or later (which knows the x86-64-v*
@@ -59,28 +85,27 @@
 #define C1 (4.0 / 3.0)
 #define C2 (-1.0 / 12.0)
 
-/* Fourth-order Laplacian of u at flat index k of a row-major grid nx wide. */
-INLINE double laplacian(const double *u, ptrdiff_t k, ptrdiff_t nx, double inv_dz2, double inv_dx2)
+/* Fourth-order Laplacian at column k of row u, given the values at k two
+ * and one rows above (a2, a1) and one and two rows below (b1, b2). */
+INLINE double laplacian(double a2, double a1, const double *u, double b1, double b2, ptrdiff_t k,
+                        double inv_dz2, double inv_dx2)
 {
-    return (C2 * (u[k - 2 * nx] + u[k + 2 * nx]) + C1 * (u[k - nx] + u[k + nx]) + C0 * u[k]) * inv_dz2
+    return (C2 * (a2 + b2) + C1 * (a1 + b1) + C0 * u[k]) * inv_dz2
          + (C2 * (u[k - 2] + u[k + 2]) + C1 * (u[k - 1] + u[k + 1]) + C0 * u[k]) * inv_dx2;
 }
 
-/* Row helpers: each pointer is the start of one row of its field; the
- * stencil reads two rows either side of it. */
+/* Row helpers: each pointer is the start of one row of its field. */
 
+/* nxt = mask*(2*cur - mask*prv + vdt2*lap(cur)); cur is a row of a whole
+ * field, whose rows two either side the stencil reads. */
 INLINE void forward_row(double *restrict nxt, const double *restrict cur, const double *restrict prv,
                         const double *restrict vdt2, const double *restrict mask,
                         ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
     for (ptrdiff_t k = 2; k < nx - 2; k++)
-        nxt[k] = mask[k] * (2.0 * cur[k] - prv[k] + vdt2[k] * laplacian(cur, k, nx, inv_dz2, inv_dx2));
-}
-
-INLINE void damp_row(double *restrict u, const double *restrict mask, ptrdiff_t nx)
-{
-    for (ptrdiff_t k = 2; k < nx - 2; k++)
-        u[k] = u[k] * mask[k];
+        nxt[k] = mask[k] * (2.0 * cur[k] - mask[k] * prv[k]
+                            + vdt2[k] * laplacian(cur[k - 2 * nx], cur[k - nx], cur, cur[k + nx],
+                                                  cur[k + 2 * nx], k, inv_dz2, inv_dx2));
 }
 
 INLINE void scale_row(double *restrict w, const double *restrict vdt2, const double *restrict mask,
@@ -90,13 +115,21 @@ INLINE void scale_row(double *restrict w, const double *restrict vdt2, const dou
         w[k] = vdt2[k] * mask[k] * cur[k];
 }
 
-INLINE void adjoint_row(double *restrict nxt, double *restrict prv, const double *restrict cur,
-                        const double *restrict w, const double *restrict mask,
+/* nxt = 2*(mask*cur) - mask*(mask*prv) + lap(w), where w[0..3] are the rows
+ * of w two above to one below this one; the row two below, w2 =
+ * vdt2_2*mask_2*cur_2, is computed here and stored. */
+INLINE void adjoint_row(double *restrict nxt, const double *restrict prv, const double *restrict cur,
+                        const double *restrict mask, const double *const w[4],
+                        double *restrict w2, const double *restrict vdt2_2,
+                        const double *restrict mask_2, const double *restrict cur_2,
                         ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
+    const double *restrict a2 = w[0], *restrict a1 = w[1], *restrict u = w[2], *restrict b1 = w[3];
     for (ptrdiff_t k = 2; k < nx - 2; k++) {
-        nxt[k] = 2.0 * (mask[k] * cur[k]) - mask[k] * prv[k] + laplacian(w, k, nx, inv_dz2, inv_dx2);
-        prv[k] = mask[k] * cur[k];
+        double b2 = vdt2_2[k] * mask_2[k] * cur_2[k];
+        w2[k] = b2;
+        nxt[k] = 2.0 * (mask[k] * cur[k]) - mask[k] * (mask[k] * prv[k])
+               + laplacian(a2[k], a1[k], u, b1[k], b2, k, inv_dz2, inv_dx2);
     }
 }
 
@@ -107,39 +140,40 @@ INLINE void correlate_row(double *restrict image, const double *restrict frame,
         image[k] += frame[k] * u[k];
 }
 
-/* One damped leapfrog step, nxt = mask*(2*cur - prv + vdt2*lap(cur)), then
- * cur *= mask.  Row i-2 of cur is damped as soon as row i of nxt, its last
- * reader, is done. */
-INLINE void forward_pass(const double *prv, double *cur, double *nxt, const double *vdt2,
-                         const double *mask, ptrdiff_t nz, ptrdiff_t nx,
-                         double inv_dz2, double inv_dx2)
+#if defined(__SSE2__) && defined(__x86_64__)
+#include <emmintrin.h>
+
+INLINE void stream_one(double *dst, const double *src)
 {
-    for (ptrdiff_t i = 2; i < nz - 2; i++) {
-        ptrdiff_t r = i * nx;
-        forward_row(nxt + r, cur + r, prv + r, vdt2 + r, mask + r, nx, inv_dz2, inv_dx2);
-        if (i >= 4)
-            damp_row(cur + r - 2 * nx, mask + r - 2 * nx, nx);
-    }
-    for (ptrdiff_t i = nz - 4 > 2 ? nz - 4 : 2; i < nz - 2; i++)
-        damp_row(cur + i * nx, mask + i * nx, nx);
+    long long bits;
+    memcpy(&bits, src, sizeof bits);
+    _mm_stream_si64((long long *)dst, bits);
 }
 
-/* Transpose of forward_pass: w = vdt2*mask*cur, nxt = 2*mask*cur -
- * mask*prv + lap(w), prv = mask*cur.  Row i+2 of w, the last one row i of
- * nxt reads, is filled just ahead of it. */
-INLINE void adjoint_pass(double *prv, const double *cur, double *nxt, double *w,
-                         const double *vdt2, const double *mask, ptrdiff_t nz, ptrdiff_t nx,
-                         double inv_dz2, double inv_dx2)
+/* Copy n doubles with non-temporal stores: 16-byte pairs, with one 8-byte
+ * store ahead of them when dst is not 16-byte aligned and one after for an
+ * odd count left. */
+INLINE void store_row(double *dst, const double *src, ptrdiff_t n)
 {
-    for (ptrdiff_t i = 2; i < 4 && i < nz - 2; i++)
-        scale_row(w + i * nx, vdt2 + i * nx, mask + i * nx, cur + i * nx, nx);
-    for (ptrdiff_t i = 2; i < nz - 2; i++) {
-        ptrdiff_t r = i * nx;
-        if (i + 2 < nz - 2)
-            scale_row(w + r + 2 * nx, vdt2 + r + 2 * nx, mask + r + 2 * nx, cur + r + 2 * nx, nx);
-        adjoint_row(nxt + r, prv + r, cur + r, w + r, mask + r, nx, inv_dz2, inv_dx2);
+    ptrdiff_t k = 0;
+    if (n > 0 && (uintptr_t)dst % 16) {
+        stream_one(dst, src);
+        k = 1;
     }
+    for (; k + 2 <= n; k += 2)
+        _mm_stream_pd(dst + k, _mm_loadu_pd(src + k));
+    if (k < n)
+        stream_one(dst + k, src + k);
 }
+/* Orders the non-temporal stores before the window returns. */
+#define STORE_FENCE() _mm_sfence()
+#else
+INLINE void store_row(double *dst, const double *src, ptrdiff_t n)
+{
+    memcpy(dst, src, n * sizeof(double));
+}
+#define STORE_FENCE() ((void)0)
+#endif
 
 /* Sum of u*w over one position's four bilinear corners, left to right. */
 INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
@@ -147,13 +181,33 @@ INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
     return ((u[idx[0]] * w[0] + u[idx[1]] * w[1]) + u[idx[2]] * w[2]) + u[idx[3]] * w[3];
 }
 
-/* ---- the windows ---- */
+/* ---- the forward window ---- */
+
+typedef struct {
+    ptrdiff_t nz, nx, at;
+    const double *vdt2, *mask;
+    double inv_dz2, inv_dx2;
+    const ptrdiff_t *si;
+    const double *sw, *qs;
+} Forward;
+
+/* Row i of forward step n: nxt from cur and prv, then the injection once
+ * row f->at is done. */
+INLINE void forward_step_row(const Forward *f, ptrdiff_t n, ptrdiff_t i, double *nxt,
+                             const double *cur, const double *prv)
+{
+    ptrdiff_t r = i * f->nx;
+    forward_row(nxt + r, cur + r, prv + r, f->vdt2 + r, f->mask + r, f->nx, f->inv_dz2,
+                f->inv_dx2);
+    for (int c = 0; i == f->at && c < 4; c++)
+        nxt[f->si[c]] += f->sw[c] * f->qs[n];
+}
 
 /* Forward steps n0..n1-1 over nz x nx fields.  Step n injects sw * qs[n] at
  * the source cells si, then writes the traces of the nr receivers (cells ri,
  * weights rw) to row n of tr and, when n >= first, the fz x fx interior at
  * (top, left) to row n - first of fr; tr and fr may be NULL.  The fields'
- * roles rotate left by one per step. */
+ * roles rotate left by one per step; prv is held undamped. */
 DISPATCH
 void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *prv, double *cur, double *nxt, const double *vdt2, const double *mask,
@@ -162,37 +216,86 @@ void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
                     double *tr, double *fr, ptrdiff_t first, ptrdiff_t fz, ptrdiff_t fx,
                     ptrdiff_t top, ptrdiff_t left)
 {
-    for (ptrdiff_t n = n0; n < n1; n++) {
-        forward_pass(prv, cur, nxt, vdt2, mask, nz, nx, inv_dz2, inv_dx2);
-        for (int c = 0; c < 4; c++)
-            nxt[si[c]] += sw[c] * qs[n];
-        for (ptrdiff_t r = 0; tr && r < nr; r++)
-            tr[n * nr + r] = corners(nxt, ri + 4 * r, rw + 4 * r);
-        for (ptrdiff_t i = 0; fr && n >= first && i < fz; i++)
-            memcpy(fr + ((n - first) * fz + i) * fx, nxt + (top + i) * nx + left,
-                   fx * sizeof(double));
-        double *t = prv;
-        prv = cur;
-        cur = nxt;
-        nxt = t;
+    /* A step injects once the last row of the source cells, clamped to the
+     * interior, is done; the second step of a sweep runs lag rows behind. */
+    ptrdiff_t lo = nz, hi = 0;
+    for (int c = 0; c < 4; c++) {
+        lo = si[c] / nx < lo ? si[c] / nx : lo;
+        hi = si[c] / nx > hi ? si[c] / nx : hi;
     }
+    ptrdiff_t lag = hi - lo + 3;
+    Forward f = {nz, nx, hi < 2 ? 2 : hi > nz - 3 ? nz - 3 : hi, vdt2, mask, inv_dz2, inv_dx2,
+                 si, sw, qs};
+    for (ptrdiff_t n = n0; n < n1;) {
+        int two = n + 1 < n1;
+        for (ptrdiff_t i = 2; i < nz - 2 + (two ? lag : 0); i++) {
+            if (i < nz - 2)
+                forward_step_row(&f, n, i, nxt, cur, prv);
+            if (two && i - lag >= 2)  /* step n+1 writes prv from nxt and cur */
+                forward_step_row(&f, n + 1, i - lag, prv, nxt, cur);
+        }
+        for (int s = 0; s <= two; s++, n++) {
+            const double *u = s ? prv : nxt;
+            for (ptrdiff_t r = 0; tr && r < nr; r++)
+                tr[n * nr + r] = corners(u, ri + 4 * r, rw + 4 * r);
+            for (ptrdiff_t i = 0; fr && n >= first && i < fz; i++)
+                store_row(fr + ((n - first) * fz + i) * fx, u + (top + i) * nx + left, fx);
+        }
+        double *t = prv;
+        if (two) {  /* (prv, cur, nxt) -> (nxt, prv, cur) */
+            prv = nxt;
+            nxt = cur;
+            cur = t;
+        } else {    /* (prv, cur, nxt) -> (cur, nxt, prv) */
+            prv = cur;
+            cur = nxt;
+            nxt = t;
+        }
+    }
+    if (fr)
+        STORE_FENCE();
 }
+
+/* ---- the adjoint window ---- */
 
 /* Adjoint steps n1-1 down to n0.  Step n injects rw * d[n] at the cells ri
  * of the nr receivers, then writes the sum over the source cells si,
  * weights sw, to qs[n] and, when n >= first, adds row n - first of fr times
  * the fz x fx interior at (top, left) to img; qs (with si and sw) and fr
- * with img may be NULL.  w is scratch.  cur and nxt swap roles every step. */
+ * with img may be NULL.  The fields' roles rotate left by one per step, as
+ * the forward's do; prv is held undamped.  Returns 0, or -1 with nothing
+ * stepped when the row ring cannot be allocated. */
 DISPATCH
-void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
-                    double *prv, double *cur, double *nxt, double *w, const double *vdt2,
-                    const double *mask, double inv_dz2, double inv_dx2, ptrdiff_t nr,
-                    const ptrdiff_t *ri, const double *rw, const double *d, const ptrdiff_t *si,
-                    const double *sw, double *qs, const double *fr, double *img, ptrdiff_t first,
-                    ptrdiff_t fz, ptrdiff_t fx, ptrdiff_t top, ptrdiff_t left)
+int adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
+                   double *prv, double *cur, double *nxt, const double *vdt2,
+                   const double *mask, double inv_dz2, double inv_dx2, ptrdiff_t nr,
+                   const ptrdiff_t *ri, const double *rw, const double *d, const ptrdiff_t *si,
+                   const double *sw, double *qs, const double *fr, double *img, ptrdiff_t first,
+                   ptrdiff_t fz, ptrdiff_t fx, ptrdiff_t top, ptrdiff_t left)
 {
+    /* five rows of w = vdt2*mask*cur, row r in ring row r % 5, then a zero
+     * row that stands for w's halo rows and a sink row that takes the rows
+     * past them; the halo columns of every row stay zero */
+    double *ring = calloc(7 * nx, sizeof(double));
+    if (!ring)
+        return -1;
+    const double *zero = ring + 5 * nx;
+    double *sink = ring + 6 * nx;
     for (ptrdiff_t n = n1 - 1; n >= n0; n--) {
-        adjoint_pass(prv, cur, nxt, w, vdt2, mask, nz, nx, inv_dz2, inv_dx2);
+        for (ptrdiff_t r = 2; r < 4 && r < nz - 2; r++)
+            scale_row(ring + r * nx, vdt2 + r * nx, mask + r * nx, cur + r * nx, nx);
+        for (ptrdiff_t i = 2; i < nz - 2; i++) {
+            const double *w[4];
+            for (int j = 0; j < 4; j++) {
+                ptrdiff_t r = i - 2 + j;
+                w[j] = r < 2 || r >= nz - 2 ? zero : ring + r % 5 * nx;
+            }
+            ptrdiff_t b = (i + 2) * nx;
+            int in = i + 2 < nz - 2;
+            adjoint_row(nxt + i * nx, prv + i * nx, cur + i * nx, mask + i * nx, w,
+                        in ? ring + (i + 2) % 5 * nx : sink, in ? vdt2 + b : zero,
+                        in ? mask + b : zero, in ? cur + b : zero, nx, inv_dz2, inv_dx2);
+        }
         for (ptrdiff_t j = 0; j < 4 * nr; j++)
             nxt[ri[j]] += rw[j] * d[n * nr + j / 4];
         if (qs)
@@ -200,10 +303,13 @@ void adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
         for (ptrdiff_t i = 0; img && n >= first && i < fz; i++)
             correlate_row(img + i * fx, fr + ((n - first) * fz + i) * fx,
                           nxt + (top + i) * nx + left, fx);
-        double *t = cur;
+        double *t = prv;
+        prv = cur;
         cur = nxt;
         nxt = t;
     }
+    free(ring);
+    return 0;
 }
 
 /* The copy of the windows the loader bound: the resolver's own test, the

@@ -5,14 +5,23 @@ space, leapfrog in time, sponge damping folded into the update.  Kernels
 only touch the interior (two-cell halo excluded), so halo cells act as a
 zero Dirichlet rim and stay zero for the whole run.
 
-A call advances the fields over a window of steps ``[n0, n1)`` and does
-each step's injection and extraction at bilinear cells, given as flat
-indices into the padded grid and weights, both shaped ``(n_positions, 4)``.
-It returns the fields in their roles after the window, so a propagation
-split into any windows steps exactly as one window over the whole range.
-Both backends' windows pass their arguments through ``check_window``
-before the first step, so a bad argument raises ValueError with nothing
-stepped, whichever backend runs.
+A call advances the fields ``(prv, cur, nxt)`` over a window of steps
+``[n0, n1)`` and does each step's injection and extraction at bilinear
+cells, given as flat indices into the padded grid and weights, both shaped
+``(n_positions, 4)``.  The previous field is held undamped: each step
+applies the sponge mask as it reads it.  The roles rotate left by one per
+step in both directions, and a window returns the fields in their roles
+after it, so a propagation split into any windows steps exactly as one
+window over the whole range.  The adjoint's scaled field
+``vdt2*mask*cur`` is scratch private to the window: there is no ``w``
+argument.  Both backends' windows pass their arguments through
+``check_window`` before the first step, so a bad argument raises
+ValueError with nothing stepped, whichever backend runs.
+
+The C forward advances two steps per pass over the rows, the second
+``lag`` rows behind the first, where ``lag`` is the source cells' row span
+plus 3, and writes the stored frames with non-temporal stores, past the
+caches; neither changes any value, so this module steps one at a time.
 
 Both windows take ``first_frame``, the first step whose frame the imaging
 correlation reads.  The stored source wavefield holds the frame of step
@@ -21,9 +30,10 @@ forward window stores those steps and the adjoint window correlates only
 them, so the frames of the steps where the source is still active are
 never stored.
 
-The step kernels make no full-grid temporaries: every ufunc writes through
-``out=`` into three interior-sized scratch planes, and the result goes into
-the interior of ``nxt`` with one final write.  Every operation follows the
+The step kernels make no full-grid temporaries beyond the adjoint's one
+scaled-field plane per window: every ufunc writes through ``out=`` into
+three interior-sized scratch planes, and the result goes into the interior
+of ``nxt`` with one final write.  Every operation follows the
 C kernel's order term for term, and injection adds in ``np.add.at`` order,
 so the fields are bitwise equal to ``_stencil.c``'s.
 """
@@ -90,6 +100,8 @@ def check_window(n0, n1, state, coefficients, inv_d2, src, rec, *, q=None, trace
         if take(f, f"field {k}", 2, k < len(state)).shape != state[0].shape:
             raise ValueError(f"field {k} must be shaped like field 0")
     nz, nx = state[0].shape
+    if nz < 5 or nx < 5:
+        raise ValueError(f"{nz} x {nx} fields leave no interior inside the two-cell halo")
     ncells = nz * nx
     nr = cells(rec, "receiver cells")
     # An adjoint window needs source cells only for q_star.
@@ -155,35 +167,36 @@ def _corners(p):
 
 
 def _forward_step(prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2):
-    """One damped leapfrog step: nxt = mask*(2*cur - prv + vdt2*lap(cur)).
+    """One damped leapfrog step: nxt = mask*(2*cur - mask*prv + vdt2*lap(cur)).
 
-    Also damps ``cur`` in place (it becomes the previous field of the next
-    step, which carries one factor of the sponge mask).
+    ``prv`` is held undamped: the step applies the sponge as it reads it.
     """
     lap, a, b = _scratch(cur)
+    m = mask[2:-2, 2:-2]
     _laplacian(cur, lap, a, b, inv_dz2, inv_dx2)
     lap *= vdt2[2:-2, 2:-2]
+    np.multiply(m, prv[2:-2, 2:-2], out=b)
     np.multiply(cur[2:-2, 2:-2], 2.0, out=a)
-    a -= prv[2:-2, 2:-2]
+    a -= b
     lap += a
-    np.multiply(lap, mask[2:-2, 2:-2], out=nxt[2:-2, 2:-2])
-    cur[2:-2, 2:-2] *= mask[2:-2, 2:-2]
+    np.multiply(lap, m, out=nxt[2:-2, 2:-2])
 
 
 def _adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2):
     """Exact transpose of ``_forward_step`` run in reverse time.
 
-    Computes nxt = 2*mask*cur - mask*prv + lap(vdt2*mask*cur) and replaces
-    ``prv`` with mask*cur in place; ``w`` is caller-provided scratch.
+    Computes nxt = 2*(mask*cur) - mask*(mask*prv) + lap(vdt2*mask*cur), with
+    ``prv`` held undamped; ``w`` is scratch whose halo stays zero.
     """
     lap, a, b = _scratch(cur)
-    m, p, wi = mask[2:-2, 2:-2], prv[2:-2, 2:-2], w[2:-2, 2:-2]
+    m, wi = mask[2:-2, 2:-2], w[2:-2, 2:-2]
     np.multiply(vdt2[2:-2, 2:-2], m, out=wi)
     wi *= cur[2:-2, 2:-2]
     _laplacian(w, lap, a, b, inv_dz2, inv_dx2)
-    np.multiply(m, p, out=a)
-    np.multiply(m, cur[2:-2, 2:-2], out=p)
-    np.multiply(p, 2.0, out=b)
+    np.multiply(m, prv[2:-2, 2:-2], out=a)
+    a *= m
+    np.multiply(m, cur[2:-2, 2:-2], out=b)
+    b *= 2.0
     b -= a
     np.add(lap, b, out=nxt[2:-2, 2:-2])
 
@@ -213,7 +226,7 @@ def forward_window(n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
     return prv, cur, nxt
 
 
-def adjoint_window(n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_idx, rec_w,
+def adjoint_window(n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2, rec_idx, rec_w,
                    data, src_idx, src_w, q_star, frames, image, first_frame, top, left):
     """Adjoint steps ``n1-1`` down to ``n0``; returns ``(prv, cur, nxt)`` after them.
 
@@ -221,11 +234,12 @@ def adjoint_window(n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_i
     the source-cell sum to ``q_star[n]`` and, when ``n >= first_frame``,
     adds ``frames[n - first_frame]`` times the interior at (``top``,
     ``left``) to ``image``.  ``q_star`` (with the source cells) and
-    ``frames`` with ``image`` may be None; ``w`` is scratch.
+    ``frames`` with ``image`` may be None.
     """
-    check_window(n0, n1, (prv, cur, nxt, w), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
+    check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2), (src_idx, src_w),
                  (rec_idx, rec_w), data=data, q_star=q_star, frames=frames, image=image,
                  first_frame=first_frame, top=top, left=left)
+    w = np.zeros_like(cur)  # the scaled field, private to this window
     for n in range(n1 - 1, n0 - 1, -1):
         _adjoint_step(prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2)
         flat = nxt.reshape(-1)
@@ -235,5 +249,5 @@ def adjoint_window(n0, n1, prv, cur, nxt, w, vdt2, mask, inv_dz2, inv_dx2, rec_i
         if image is not None and n >= first_frame:
             image += frames[n - first_frame] * nxt[top : top + image.shape[0],
                                                    left : left + image.shape[1]]
-        cur, nxt = nxt, cur
+        prv, cur, nxt = cur, nxt, prv
     return prv, cur, nxt

@@ -284,9 +284,8 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
     stop = 0 if q_star is not None or image is None else min(nt, first_frame)
 
     fields = prop.alloc(), prop.alloc(), prop.alloc()
-    w = prop.alloc()
     for n0, n1 in reversed(_windows(stop, nt, -1)):
-        fields = impl.adjoint_window(n0, n1, *fields, w, *prop.coefficients, *rec, data, *src,
+        fields = impl.adjoint_window(n0, n1, *fields, *prop.coefficients, *rec, data, *src,
                                      q_star, frames, image, first_frame, prop.pad_top, prop.pad)
         if (n0 + 1) % _FINITE_CHECK_EVERY == 0:
             _check_finite(fields[1])

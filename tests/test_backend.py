@@ -155,6 +155,15 @@ def test_kernel_compiles_without_python_headers(tmp_path):
     assert name == "c" and not any(a.startswith("-I") for a in log.read_text().split())
 
 
+def test_kernel_builds_without_warnings(tmp_path):
+    """A slip in the intrinsics, or an unused parameter, fails the suite."""
+    strict = _backend.CFLAGS + " -Wall -Wextra -Werror"
+    reason = _backend._compile(str(tmp_path / "strict.so"), strict)
+    if reason == _backend.NO_COMPILER:
+        pytest.skip(reason)
+    assert reason is None
+
+
 @pytest.mark.parametrize("mode", [0o770, 0o707])
 def test_shared_cache_dir_refused(tmp_path, seed, mode):
     probe(tmp_path)

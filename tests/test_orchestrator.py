@@ -688,6 +688,10 @@ class TestCli:
             ("run --config CFG", {"reduce": {"fan_in": "x"}}, "reduce.fan_in"),
             ("run --config CFG", {"reduce": 3}, "section reduce"),
             ("run --config CFG", {"model": {"nz": 50.5}}, "model.nz"),
+            ("run --pricing.low_priority_discount_factor 4", None,
+             "pricing.low_priority_discount_factor"),
+            ("run --pricing.on_demand_rate 0", None, "pricing.on_demand_rate"),
+            ("run --pricing.billing_granularity -1", None, "pricing.billing_granularity"),
         ],
     )
     def test_malformed_config_is_one_error_line(self, tmp_path, capsys, monkeypatch, argv,
@@ -700,6 +704,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
+
+    def test_bad_pricing_refused_before_the_map_phase(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+        data = tiny_config(tmp_path).to_dict()
+        data["pricing"]["billing_granularity"] = -1.0
+        with pytest.raises(ValueError, match=r"^pricing\.billing_granularity: "):
+            orchestrator.run_pipeline(config_from_dict(data))
+        assert not list((tmp_path / "out").glob("tasks/done/*"))
 
     def test_reduce_cli(self, tmp_path):
         from rtmcloud.blobstore import ImageBlob, encode_image

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import platform
 import sys
@@ -298,12 +299,13 @@ def c_stencil():
 FORWARD_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
                 "src_idx", "src_w", "q", "rec_idx", "rec_w", "traces", "frames", "first_frame",
                 "top", "left")
-ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "w", "vdt2", "mask", "inv_dz2", "inv_dx2",
+ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
                 "rec_idx", "rec_w", "data", "src_idx", "src_w", "q_star", "frames", "image",
                 "first_frame", "top", "left")
 
 
-def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
+def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_rows=None,
+                rec_rows=None):
     """Window arguments on a small model, forward and adjoint, every output on.
 
     Receivers 0 and 1 lie in the same cell with different weights and
@@ -311,8 +313,11 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     cells and its order shows.  ``shape`` is the model's (nz, nx); the
     fields are 64 cells larger each way.  ``noisy`` starts every interior
     cell of the fields at a random value, so every cell is live from step 0.
-    Both windows take ``first_frame = nt // 3 + 1``, so the frames hold the
-    steps from there on.
+    Both windows take ``first_frame = first``, by default ``nt // 3 + 1``,
+    so the frames hold the steps from there on.  ``src_rows`` (top, bottom)
+    puts the source's cells in those rows of the padded grid, halo rows
+    included, and ``rec_rows`` adds one receiver over rows (r, r + 1) for
+    each r in it, every one in the same two columns.
     """
     model = make_layered_model(*shape, 10.0, 10.0, [1500.0, 2200.0])
     prop = solver._Propagator(model, default_dt(model))
@@ -320,14 +325,28 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     rng = np.random.default_rng(seed)
     src_idx, src_w = prop.source_cells((110.0, 90.0))
     rec_idx, rec_w = prop.interp_cells(receivers)
-    first = nt // 3 + 1
+
+    def cells(top, bottom, col):
+        return np.array([[top * prop.nx_pad + col, top * prop.nx_pad + col + 1,
+                          bottom * prop.nx_pad + col, bottom * prop.nx_pad + col + 1]],
+                        dtype=np.intp)
+
+    if src_rows is not None:
+        src_idx = cells(*src_rows, prop.nx_pad // 2)
+        src_w = rng.uniform(0.01, 0.05, src_idx.shape)
+    if rec_rows is not None:
+        extra = np.concatenate([cells(r, r + 1, 40) for r in rec_rows])
+        rec_idx = np.concatenate([rec_idx, extra])
+        rec_w = np.concatenate([rec_w, rng.uniform(0.1, 0.9, extra.shape)])
+    receivers = range(len(rec_idx))
+    first = nt // 3 + 1 if first is None else first
     common = dict(n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
                   inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
                   rec_w=rec_w, first_frame=first, top=prop.pad_top, left=prop.pad)
     forward = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
                    frames=np.zeros((nt - first, model.nz, model.nx)))
-    adjoint = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(), w=prop.alloc(),
+    adjoint = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
                    frames=rng.standard_normal((nt - first, model.nz, model.nx)),
                    image=np.zeros((model.nz, model.nx)))
@@ -337,12 +356,13 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False):
     return ({k: forward[k] for k in FORWARD_ARGS}, {k: adjoint[k] for k in ADJOINT_ARGS})
 
 
-def run_windows(impl, size=None, nt=150, **case):
+def run_windows(impl, size=None, nt=150, cuts=None, **case):
     """A forward then an adjoint propagation over [0, nt) in windows of ``size``
-    steps (one window when None); every field and output afterwards.
-    ``case`` goes to ``window_case``."""
+    steps (one window when None), or cut at ``cuts``, the window boundaries
+    from 0 to nt in order; every field and output afterwards.  ``case`` goes
+    to ``window_case``."""
     forward, adjoint = window_case(nt, **case)
-    cuts = [*range(0, nt, size or nt), nt]
+    cuts = cuts or [*range(0, nt, size or nt), nt]
     out = {}
     for kind, args, order in (("forward", forward, cuts), ("adjoint", adjoint, cuts[::-1])):
         window = getattr(impl, f"{kind}_window")
@@ -497,6 +517,81 @@ class TestBackendParity:
     def test_fallback_rejects_bad_field(self, key, bad):
         # The fallback's own test: it runs where there is no C compiler.
         assert_rejected(_stencil_py, key, bad)
+
+    @pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
+    def test_grid_without_interior_rejected(self, c_stencil, shape):
+        for impl in (c_stencil, _stencil_py):
+            for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
+                for name in ("prv", "cur", "nxt", "vdt2", "mask"):
+                    args[name] = np.zeros(shape)
+                with pytest.raises(ValueError, match="no interior"):
+                    getattr(impl, f"{kind}_window")(*args.values())
+
+
+def length_cuts(nt, lengths):
+    """Window boundaries over [0, nt), the windows taking ``lengths`` in turn."""
+    cuts = [0]
+    for k in itertools.cycle(lengths):
+        cuts.append(min(cuts[-1] + k, nt))
+        if cuts[-1] == nt:
+            return cuts
+
+
+def assert_same_runs(impl, nt=150, cuts=None, dead=(), **case):
+    """``impl`` stepping [0, nt) in one window, in windows cut at ``cuts`` and
+    one step per window, and the fallback in one window, all give the same
+    bits; every output and field is live but those named in ``dead``."""
+    runs = [run_windows(impl, nt=nt, **case), run_windows(impl, nt=nt, cuts=cuts, **case),
+            run_windows(impl, 1, nt=nt, **case), run_windows(_stencil_py, nt=nt, **case)]
+    for k in runs[0]:
+        assert (np.abs(runs[0][k]).max() > 0) != (k in dead), k
+        for other in runs[1:]:
+            np.testing.assert_array_equal(runs[0][k], other[k], err_msg=k)
+
+
+class TestTwoStepSweeps:
+    """The C forward steps two at a time, the second lagging the first by the
+    source cells' row span plus 3; every split of a run, every placement of
+    the injection cells and every first_frame gives the one-step bits."""
+
+    @pytest.mark.parametrize("lengths", [(0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0), (3,), (2,)],
+                             ids=["rising", "falling", "odd", "even"])
+    def test_window_lengths_0_to_5(self, c_stencil, lengths):
+        # with zero-length windows, and cuts at odd and even steps
+        assert_same_runs(c_stencil, nt=60, cuts=length_cuts(60, lengths), noisy=True)
+
+    @pytest.mark.parametrize(
+        "src_rows", [(2, 3), (80, 81), (0, 1), (82, 83), (1, 2), (0, 83), (2, 81)],
+        ids=["first_interior", "last_interior", "top_halo", "bottom_halo", "halo_and_interior",
+             "every_row", "every_interior_row"])
+    def test_source_cells_anywhere(self, c_stencil, src_rows):
+        # The padded grid is 84 rows, 2 .. 81 interior.  The adjoint field
+        # stays zero in the halo, so source cells there read no q_star.
+        halo = all(r < 2 or r > 81 for r in src_rows)
+        assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (7,)), src_rows=src_rows,
+                         noisy=True, dead=("q_star",) if halo else ())
+
+    def test_receivers_span_every_row(self, c_stencil):
+        # receivers in every row, halo rows too, two to a cell pair
+        assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (5,)),
+                         rec_rows=[*range(83), 0, 41, 82], src_rows=(0, 83), noisy=True,
+                         dead=("q_star",))
+
+    @pytest.mark.parametrize("first", [0, 1, 2, 37, 38, 59, 60])
+    def test_first_frame_odd_and_even(self, c_stencil, first):
+        runs = [run_windows(impl, size, nt=60, first=first)
+                for impl, size in ((c_stencil, None), (c_stencil, 1), (_stencil_py, None))]
+        for k in runs[0]:
+            for other in runs[1:]:
+                np.testing.assert_array_equal(runs[0][k], other[k], err_msg=k)
+
+    def test_pair_cut_by_the_finiteness_check(self, c_stencil):
+        # nt = 130: one window pairs steps 128 and 129; the solver's windows
+        # [0, 1), [1, 129) and [129, 130) cut that pair
+        nt = 130
+        windows = solver._windows(0, nt, 1)
+        assert windows[-1] == (129, 130)
+        assert_same_runs(c_stencil, nt=nt, cuts=[0] + [n1 for _, n1 in windows])
 
 
 class TestBlobSerialization:
