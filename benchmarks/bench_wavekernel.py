@@ -17,9 +17,12 @@ two runs of one, are compared under the same conditions rather than
 across processes.
 
 It also reports each backend's fixed cost per window call: the median
-time of a zero-step window over ``ZERO_STEP_CALLS`` calls, which is
-argument checking and the call itself, paid once per window however few
-steps it runs.  The C kernels come from the same loader every run uses
+time of a zero-step window on a built plan over ``ZERO_STEP_CALLS`` calls,
+which is the window's bounds check and the call itself, paid once per
+window however few steps it runs.  The arguments are checked once per
+propagation instead, when its plan is built: ``plan_us`` is the median time
+of one plan build per direction over ``PLAN_BUILDS`` builds, the same for
+either backend.  The C kernels come from the same loader every run uses
 (compiled on first use, see rtmcloud.wavekernel._backend).  The two
 backends implement the same contract (see rtmcloud.wavekernel._stencil_py)
 term for term, so this is also a check that both produce bitwise-equal
@@ -41,9 +44,12 @@ import numpy as np
 from trajectory import ROOT, append_entry, commit
 
 from rtmcloud.wavekernel import _backend, _stencil_py, backend_isa, backend_name, solver
+from rtmcloud.wavekernel._stencil_py import Plan
 
 # Zero-step window calls timed per backend and kind; their median is the fixed cost.
 ZERO_STEP_CALLS = 2000
+# Plan builds timed per kind; their median is the per-propagation cost.
+PLAN_BUILDS = 2000
 # The cells of sponge and halo the solver pads the model with on each side.
 PAD = solver.SPONGE_CELLS + solver.HALO
 
@@ -59,8 +65,8 @@ def load_backends():
 
 
 def window_args(kind, n, steps, frames=False, seed=0):
-    """Arguments of one ``kind`` window over [0, steps), in contract order,
-    and the window's outputs besides the fields."""
+    """Plan arguments of one ``kind`` propagation of ``steps`` steps, as
+    ``(positional, keywords)``, and its outputs besides the fields."""
     rng = np.random.default_rng(seed)
     fields = [np.zeros((n, n)) for _ in range(3)]
     fields[1][2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4)) * 1e-3
@@ -74,42 +80,55 @@ def window_args(kind, n, steps, frames=False, seed=0):
     cols = np.linspace(4, n - 6, 48).astype(np.intp)
     rec_idx = (4 * n + cols)[:, None] + np.array([0, 1, n, n + 1], dtype=np.intp)
     rec_w = np.tile([0.4, 0.1, 0.4, 0.1], (len(cols), 1))
-    head = [0, steps, *fields, vdt2, mask, inv_h2, inv_h2]
+    head = [steps, fields, (vdt2, mask, inv_h2, inv_h2), (src_idx, src_w), (rec_idx, rec_w)]
     first, side = (steps // 8, max(n - 2 * PAD, 1)) if frames else (0, 0)
     top = (n - side) // 2
+    where = dict(first_frame=first, top=top, left=top)
     if kind == "forward":
         traces = np.zeros((steps, len(cols)))
         # written through once before timing, as a map worker's reused buffer is
         fr = np.full((steps - first, side, side), 0.0) if frames else None
-        return head + [src_idx, src_w, rng.standard_normal(steps), rec_idx, rec_w, traces,
-                       fr, first, top, top], (traces,) + ((fr,) if frames else ())
+        return (head, dict(q=rng.standard_normal(steps), traces=traces, frames=fr, **where),
+                (traces,) + ((fr,) if frames else ()))
     q_star = np.zeros(steps)
     data = rng.standard_normal((steps, len(cols)))
     fr = rng.standard_normal((steps - first, side, side)) * 1e-3 if frames else None
     image = np.zeros((side, side)) if frames else None
-    return head + [rec_idx, rec_w, data, src_idx, src_w, q_star, fr, image, first, top,
-                   top], (q_star,) + ((image,) if frames else ())
+    return (head, dict(data=data, q_star=q_star, frames=fr, image=image, **where),
+            (q_star,) + ((image,) if frames else ()))
 
 
 def run(impl, kind, n, steps, frames):
-    args, outputs = window_args(kind, n, steps, frames)
+    args, kwargs, outputs = window_args(kind, n, steps, frames)
+    plan = Plan(*args, **kwargs)
     window = getattr(impl, f"{kind}_window")
     t0 = time.perf_counter()
-    fields = window(*args)
+    window(plan, 0, steps)
     elapsed = time.perf_counter() - t0
-    return steps / elapsed, (*fields, *outputs)
+    return steps / elapsed, (*plan.fields, *outputs)
+
+
+def median_seconds(fn, calls):
+    """Median seconds of one call of ``fn()`` over ``calls`` calls."""
+    times = []
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
 
 
 def zero_step_seconds(impl, kind, n):
-    """Median seconds of one zero-step ``kind`` window over ZERO_STEP_CALLS calls."""
-    args, _ = window_args(kind, n, 0)
-    window = getattr(impl, f"{kind}_window")
-    times = []
-    for _ in range(ZERO_STEP_CALLS):
-        t0 = time.perf_counter()
-        window(*args)
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times)
+    """Median seconds of one zero-step ``kind`` window on a built plan."""
+    args, kwargs, _ = window_args(kind, n, 0)
+    plan, window = Plan(*args, **kwargs), getattr(impl, f"{kind}_window")
+    return median_seconds(lambda: window(plan, 0, 0), ZERO_STEP_CALLS)
+
+
+def plan_seconds(kind, n, steps, frames):
+    """Median seconds of building one ``kind`` plan of ``steps`` steps."""
+    args, kwargs, _ = window_args(kind, n, steps, frames)
+    return median_seconds(lambda: Plan(*args, **kwargs), PLAN_BUILDS)
 
 
 def quartiles(values):
@@ -131,7 +150,7 @@ def main():
         ap.error("--repeat must be >= 1")
 
     backends = load_backends()
-    rates, zero_step, stats = {}, {}, {}
+    rates, zero_step, stats, plan_us = {}, {}, {}, {}
     mismatch = False
     for kind in ("forward", "adjoint"):
         print(f"\n{kind} window, {args.n}x{args.n} grid, {args.steps} steps"
@@ -148,6 +167,8 @@ def main():
             zero_step[key] = zero_step_seconds(impl, kind, args.n) * 1e6
             print(f"  {name:>7}: {stats[key][0]:8.1f} steps/s [{stats[key][1]:.1f}, "
                   f"{stats[key][2]:.1f}], zero-step window {zero_step[key]:6.1f} us")
+        plan_us[kind] = plan_seconds(kind, args.n, args.steps, args.frames) * 1e6
+        print(f"  plan build: {plan_us[kind]:6.1f} us, once per propagation")
         if len(finals) == 2:
             equal = all(map(np.array_equal, finals["c"], finals["python"]))
             mismatch |= not equal
@@ -168,6 +189,8 @@ def main():
             "steps_per_s_quartiles": {k: v[1:] for k, v in stats.items()},
             "zero_step_calls": ZERO_STEP_CALLS,
             "zero_step_window_us": zero_step,
+            "plan_builds": PLAN_BUILDS,
+            "plan_us": plan_us,
             "bitwise_equal": not mismatch if len(backends) == 2 else None,
         })
     if mismatch:

@@ -16,7 +16,8 @@ No child outlives the driver.  Each child closes the driver's ends of the
 pipes it inherited at fork, so only the driver holds them: a map worker
 then reads EOF from its pipe when the driver dies, and the reduction
 process, watching a lifeline pipe whose write end only the driver holds,
-sets its abort event.
+stops its service.  The driver stops it the same way on a map-phase error:
+it closes its end of the lifeline.
 """
 
 from __future__ import annotations
@@ -334,15 +335,18 @@ def run_map_phase(config: PipelineConfig, driver_conns=()) -> list[JobTrace]:
 
 
 def _reduction_process(red_cfg: ReductionConfig, queue: FileQueue, store: BlobStore,
-                       abort, sender, lifeline, inherited) -> None:
+                       sender, lifeline, inherited) -> None:
     """Reduction process: run the service, send ("report", ReductionReport) or
     ("error", exception) back to the pipeline driver.  ``inherited`` are the
     driver's connections this fork copied; ``lifeline`` reads EOF once the
-    driver, its only writer, dies, and a thread then sets ``abort``."""
+    driver, its only writer, closes it or dies, and a thread then stops the
+    service."""
     from multiprocessing.connection import wait
 
     for c in inherited:
         c.close()
+
+    abort = threading.Event()
 
     def watch():
         wait([lifeline])
@@ -404,12 +408,11 @@ def run_pipeline(config: PipelineConfig):
     n_shots = config.survey.n_receivers
     vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
     pricing = pricing_model(config)
-    abort = _FORK.Event()
     results, sender = _FORK.Pipe(duplex=False)
     lifeline, held = _FORK.Pipe(duplex=False)  # the driver writes nothing; it only holds it
     reducer = _FORK.Process(
         target=_reduction_process,
-        args=(reduction_config(config), queue, store, abort, sender, lifeline, (results, held)),
+        args=(reduction_config(config), queue, store, sender, lifeline, (results, held)),
         name="reduction-service",
         daemon=True,
     )
@@ -420,7 +423,7 @@ def run_pipeline(config: PipelineConfig):
         try:
             traces = run_map_phase(config, driver_conns=(results, held))
         except BaseException:
-            abort.set()
+            held.close()  # the lifeline's only write end: the reduction process stops
             try:
                 _reduction_result(reducer, results)
             except Exception:

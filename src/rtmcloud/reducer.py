@@ -195,8 +195,7 @@ def run_reduction_service(
     """Run reducer invocations until a single all-leaves image remains.
 
     ``stop_event`` lets a caller abort the service early (e.g. when the map
-    phase producing the leaves has failed); a ``multiprocessing`` event
-    works too, and the service sets it when it ends.
+    phase producing the leaves has failed); the service sets it when it ends.
     """
     start = time.time()
     deadline = time.monotonic() + config.deadline_seconds

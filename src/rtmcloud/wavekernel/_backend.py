@@ -36,7 +36,7 @@ import os
 import sys
 
 from . import _stencil_py
-from ._stencil_py import check_window
+from ._stencil_py import CPlan
 
 # No fused multiply-add, in any clone: fields stay bitwise equal to the NumPy fallback.
 CFLAGS = "-O3 -ffp-contract=off -shared -fPIC"
@@ -132,58 +132,34 @@ def evict_old_builds(cache: str) -> None:
         pass  # a build removed under us, or one we may not remove: keep it
 
 
-def _roles_after(fields, steps):
-    """The fields ``(prv, cur, nxt)`` in their roles after ``steps`` steps,
-    each of which rotates them left by one."""
-    k = steps % 3
-    return fields[k:] + fields[:k]
+def _window(fn):
+    """The window ``window(plan, n0, n1)`` that steps in the C function ``fn``."""
+    fn.argtypes, fn.restype = [ctypes.POINTER(CPlan), ctypes.c_ssize_t, ctypes.c_ssize_t], None
+
+    def window(plan, n0, n1):
+        steps = plan.window(n0, n1)
+        fn(plan.c, steps.start, steps.stop)
+        plan.rotate(len(steps))
+
+    return window
 
 
 class Kernel:
-    """The library's windows, called as ``_stencil_py``'s are: each checks its
-    arguments with ``check_window``, steps in C and returns the fields in
-    their roles after the window."""
+    """The library's windows, called as ``_stencil_py``'s are, on a plan; a
+    library whose ``Plan`` is not the size of ``CPlan`` is refused."""
 
     def __init__(self, path: str):
         self.__file__ = path
         lib = ctypes.CDLL(path)
-        n, p, d = ctypes.c_ssize_t, ctypes.c_void_p, ctypes.c_double
-        self._forward, self._adjoint = lib.forward_window, lib.adjoint_window
-        self._forward.argtypes = [n] * 4 + [p] * 5 + [d, d] + [p] * 3 + [n] + [p] * 4 + [n] * 5
-        self._adjoint.argtypes = [n] * 4 + [p] * 5 + [d, d, n] + [p] * 8 + [n] * 5
-        self._forward.restype, self._adjoint.restype = None, ctypes.c_int
+        lib.plan_size.restype = ctypes.c_size_t
+        if lib.plan_size() != ctypes.sizeof(CPlan):
+            raise ValueError(f"the library's Plan is {lib.plan_size()} bytes, "
+                             f"_stencil_py.CPlan {ctypes.sizeof(CPlan)}")
+        self.forward_window = _window(lib.forward_window)
+        self.adjoint_window = _window(lib.adjoint_window)
         lib.kernel_isa.restype = ctypes.c_char_p
         # the copy of the windows the loader bound, e.g. "x86-64-v3"
         self.isa = lib.kernel_isa().decode()
-
-    def forward_window(self, n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2,
-                       src_idx, src_w, q, rec_idx, rec_w, traces, frames, first_frame, top, left):
-        ptr = check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2),
-                           (src_idx, src_w), (rec_idx, rec_w), q=q, traces=traces,
-                           frames=frames, first_frame=first_frame, top=top, left=left)
-        fz, fx = frames.shape[1:] if frames is not None else (0, 0)
-        # ctypes wraps an int past ssize_t; a first_frame past n1 acts as n1.
-        self._forward(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, vdt2, mask)), inv_dz2,
-                      inv_dx2, *map(ptr, (src_idx, src_w, q)), len(rec_idx),
-                      *map(ptr, (rec_idx, rec_w, traces, frames)), min(first_frame, n1), fz, fx,
-                      top, left)
-        return _roles_after((prv, cur, nxt), n1 - n0)
-
-    def adjoint_window(self, n0, n1, prv, cur, nxt, vdt2, mask, inv_dz2, inv_dx2, rec_idx,
-                       rec_w, data, src_idx, src_w, q_star, frames, image, first_frame,
-                       top, left):
-        ptr = check_window(n0, n1, (prv, cur, nxt), (vdt2, mask), (inv_dz2, inv_dx2),
-                           (src_idx, src_w), (rec_idx, rec_w), data=data, q_star=q_star,
-                           frames=frames, image=image, first_frame=first_frame,
-                           top=top, left=left)
-        fz, fx = frames.shape[1:] if frames is not None else (0, 0)
-        # ctypes wraps an int past ssize_t; a first_frame past n1 acts as n1.
-        if self._adjoint(n0, n1, *prv.shape, *map(ptr, (prv, cur, nxt, vdt2, mask)), inv_dz2,
-                         inv_dx2, len(rec_idx), *map(ptr, (rec_idx, rec_w, data, src_idx, src_w,
-                                                           q_star, frames, image)),
-                         min(first_frame, n1), fz, fx, top, left):
-            raise MemoryError("adjoint_window could not allocate its row ring")
-        return _roles_after((prv, cur, nxt), n1 - n0)
 
 
 def load_stencil():

@@ -10,9 +10,9 @@
  * each step multiplies it by the mask as it reads it.  That is the product
  * a separate damping pass used to store, so the bits are the same and no
  * pass over the grid does damping alone.  The adjoint's scaled field
- * w = vdt2*mask*cur lives in a ring of five rows inside the call, row i+2
- * of w computed in the same loop as row i of the result, so no grid-sized
- * scratch plane is passed or written.
+ * w = vdt2*mask*cur lives in a ring of five rows that the plan holds, row
+ * i+2 of w computed in the same loop as row i of the result, so no
+ * grid-sized scratch plane is written.
  *
  * The forward advances two steps per sweep: one pass over the rows computes
  * steps n and n+1, step n+1 running lag rows behind step n, where lag =
@@ -28,20 +28,20 @@
  * advances one step per sweep: with its five-row ring for each step, two
  * interleaved steps measured slower than one at the default grid.
  *
- * Both windows take first, the first step whose frame the image reads (the
- * one after the source has died out): the stored wavefield holds frame n in
- * row n - first, for n >= first only, and the adjoint correlates only those
- * steps, so the frames of the source's active steps are never stored.  On
- * x86-64 the forward writes the frames with non-temporal stores, past the
- * caches, which they would otherwise fill with lines read back only by
- * the adjoint, long after.
+ * The stored wavefield holds the frames of the steps from first on (see
+ * _stencil_py.Plan).  On x86-64 the forward writes them with non-temporal
+ * stores, past the caches, which they would otherwise fill with lines read
+ * back only by the adjoint, long after.
  *
- * Plain C over raw pointers and sizes, called through ctypes, that checks
- * nothing: _stencil_py.check_window has checked every argument first, so
- * the arrays are C-contiguous of the sizes passed, at least 5 x 5, cell
- * indices and the frame interior lie inside the grid, every series has a
- * row for each step, the frames one for each step from first on,
- * 0 <= first <= n1, and no array a window writes overlaps another argument.
+ * Plain C over raw pointers and sizes, called through ctypes.  Both windows
+ * take one Plan, a propagation's arguments, which _stencil_py.Plan builds
+ * once and mirrors field for field; _backend refuses a library whose
+ * plan_size() differs from the mirror's.  The windows check nothing: the
+ * plan was checked when it was built, so the arrays are C-contiguous of the
+ * sizes it gives, at least 5 x 5, cell indices and the frame interior lie
+ * inside the grid, every series has nt rows, the frames one for each step
+ * from first on, 0 <= first <= nt, and no array the windows write overlaps
+ * another; and each window has 0 <= n0 <= n1 <= nt.
  *
  * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
@@ -62,7 +62,6 @@
  */
 #include <stddef.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* The one switch for the clones: GCC 12 or later (which knows the x86-64-v*
@@ -181,107 +180,100 @@ INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
     return ((u[idx[0]] * w[0] + u[idx[1]] * w[1]) + u[idx[2]] * w[2]) + u[idx[3]] * w[3];
 }
 
-/* ---- the forward window ---- */
-
+/* One propagation: the fields, in their roles when the window starts, and
+ * what its steps read and write.  The source cells si, sw are NULL in an
+ * adjoint plan without a source series; any output may be NULL. */
 typedef struct {
-    ptrdiff_t nz, nx, at;
-    const double *vdt2, *mask;
+    ptrdiff_t nt, nz, nx;
+    ptrdiff_t nr;                       /* receivers, four cells and weights each */
+    ptrdiff_t first, fz, fx, top, left; /* frames from step first, fz x fx at (top, left) */
     double inv_dz2, inv_dx2;
-    const ptrdiff_t *si;
-    const double *sw, *qs;
-} Forward;
+    double *f[3];                       /* prv (held undamped), cur, nxt */
+    const double *vdt2, *mask;
+    const ptrdiff_t *si;                /* one position's four cells, and their weights */
+    const double *sw;
+    const ptrdiff_t *ri;
+    const double *rw;
+    double *qs;                         /* source series: q, or the adjoint's q_star */
+    double *tr;                         /* nt x nr: the forward's traces, or the adjoint's data */
+    double *fr, *img;                   /* the frames and the image */
+    double *ring;                       /* seven rows of nx, zero when the plan is built */
+} Plan;
 
-/* Row i of forward step n: nxt from cur and prv, then the injection once
- * row f->at is done. */
-INLINE void forward_step_row(const Forward *f, ptrdiff_t n, ptrdiff_t i, double *nxt,
-                             const double *cur, const double *prv)
+size_t plan_size(void)
 {
-    ptrdiff_t r = i * f->nx;
-    forward_row(nxt + r, cur + r, prv + r, f->vdt2 + r, f->mask + r, f->nx, f->inv_dz2,
-                f->inv_dx2);
-    for (int c = 0; i == f->at && c < 4; c++)
-        nxt[f->si[c]] += f->sw[c] * f->qs[n];
+    return sizeof(Plan);
 }
 
-/* Forward steps n0..n1-1 over nz x nx fields.  Step n injects sw * qs[n] at
- * the source cells si, then writes the traces of the nr receivers (cells ri,
- * weights rw) to row n of tr and, when n >= first, the fz x fx interior at
- * (top, left) to row n - first of fr; tr and fr may be NULL.  The fields'
- * roles rotate left by one per step; prv is held undamped. */
+/* ---- the forward window ---- */
+
+/* Row i of forward step n: nxt from cur and prv, then the injection once
+ * row at is done. */
+INLINE void forward_step_row(const Plan *p, ptrdiff_t at, ptrdiff_t n, ptrdiff_t i, double *nxt,
+                             const double *cur, const double *prv)
+{
+    ptrdiff_t r = i * p->nx;
+    forward_row(nxt + r, cur + r, prv + r, p->vdt2 + r, p->mask + r, p->nx, p->inv_dz2,
+                p->inv_dx2);
+    for (int c = 0; i == at && c < 4; c++)
+        nxt[p->si[c]] += p->sw[c] * p->qs[n];
+}
+
+/* Forward steps n0..n1-1.  Step n injects sw * qs[n] at the source cells,
+ * then writes the receivers' traces to row n of tr and, when n >= first,
+ * the frame interior to row n - first of fr. */
 DISPATCH
-void forward_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
-                    double *prv, double *cur, double *nxt, const double *vdt2, const double *mask,
-                    double inv_dz2, double inv_dx2, const ptrdiff_t *si, const double *sw,
-                    const double *qs, ptrdiff_t nr, const ptrdiff_t *ri, const double *rw,
-                    double *tr, double *fr, ptrdiff_t first, ptrdiff_t fz, ptrdiff_t fx,
-                    ptrdiff_t top, ptrdiff_t left)
+void forward_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
 {
     /* A step injects once the last row of the source cells, clamped to the
      * interior, is done; the second step of a sweep runs lag rows behind. */
-    ptrdiff_t lo = nz, hi = 0;
+    ptrdiff_t nz = p->nz, nx = p->nx, lo = nz, hi = 0;
     for (int c = 0; c < 4; c++) {
-        lo = si[c] / nx < lo ? si[c] / nx : lo;
-        hi = si[c] / nx > hi ? si[c] / nx : hi;
+        lo = p->si[c] / nx < lo ? p->si[c] / nx : lo;
+        hi = p->si[c] / nx > hi ? p->si[c] / nx : hi;
     }
-    ptrdiff_t lag = hi - lo + 3;
-    Forward f = {nz, nx, hi < 2 ? 2 : hi > nz - 3 ? nz - 3 : hi, vdt2, mask, inv_dz2, inv_dx2,
-                 si, sw, qs};
+    ptrdiff_t lag = hi - lo + 3, at = hi < 2 ? 2 : hi > nz - 3 ? nz - 3 : hi;
     for (ptrdiff_t n = n0; n < n1;) {
+        ptrdiff_t k = n - n0;  /* steps done: the roles rotate left by one per step */
+        double *prv = p->f[k % 3], *cur = p->f[(k + 1) % 3], *nxt = p->f[(k + 2) % 3];
         int two = n + 1 < n1;
         for (ptrdiff_t i = 2; i < nz - 2 + (two ? lag : 0); i++) {
             if (i < nz - 2)
-                forward_step_row(&f, n, i, nxt, cur, prv);
+                forward_step_row(p, at, n, i, nxt, cur, prv);
             if (two && i - lag >= 2)  /* step n+1 writes prv from nxt and cur */
-                forward_step_row(&f, n + 1, i - lag, prv, nxt, cur);
+                forward_step_row(p, at, n + 1, i - lag, prv, nxt, cur);
         }
         for (int s = 0; s <= two; s++, n++) {
             const double *u = s ? prv : nxt;
-            for (ptrdiff_t r = 0; tr && r < nr; r++)
-                tr[n * nr + r] = corners(u, ri + 4 * r, rw + 4 * r);
-            for (ptrdiff_t i = 0; fr && n >= first && i < fz; i++)
-                store_row(fr + ((n - first) * fz + i) * fx, u + (top + i) * nx + left, fx);
-        }
-        double *t = prv;
-        if (two) {  /* (prv, cur, nxt) -> (nxt, prv, cur) */
-            prv = nxt;
-            nxt = cur;
-            cur = t;
-        } else {    /* (prv, cur, nxt) -> (cur, nxt, prv) */
-            prv = cur;
-            cur = nxt;
-            nxt = t;
+            for (ptrdiff_t r = 0; p->tr && r < p->nr; r++)
+                p->tr[n * p->nr + r] = corners(u, p->ri + 4 * r, p->rw + 4 * r);
+            for (ptrdiff_t i = 0; p->fr && n >= p->first && i < p->fz; i++)
+                store_row(p->fr + ((n - p->first) * p->fz + i) * p->fx,
+                          u + (p->top + i) * nx + p->left, p->fx);
         }
     }
-    if (fr)
+    if (p->fr)
         STORE_FENCE();
 }
 
 /* ---- the adjoint window ---- */
 
-/* Adjoint steps n1-1 down to n0.  Step n injects rw * d[n] at the cells ri
- * of the nr receivers, then writes the sum over the source cells si,
- * weights sw, to qs[n] and, when n >= first, adds row n - first of fr times
- * the fz x fx interior at (top, left) to img; qs (with si and sw) and fr
- * with img may be NULL.  The fields' roles rotate left by one per step, as
- * the forward's do; prv is held undamped.  Returns 0, or -1 with nothing
- * stepped when the row ring cannot be allocated. */
+/* Adjoint steps n1-1 down to n0.  Step n injects rw * tr[n] at the
+ * receivers' cells, then writes the sum over the source cells to qs[n] and,
+ * when n >= first, adds row n - first of fr times the frame interior to
+ * img. */
 DISPATCH
-int adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
-                   double *prv, double *cur, double *nxt, const double *vdt2,
-                   const double *mask, double inv_dz2, double inv_dx2, ptrdiff_t nr,
-                   const ptrdiff_t *ri, const double *rw, const double *d, const ptrdiff_t *si,
-                   const double *sw, double *qs, const double *fr, double *img, ptrdiff_t first,
-                   ptrdiff_t fz, ptrdiff_t fx, ptrdiff_t top, ptrdiff_t left)
+void adjoint_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
 {
     /* five rows of w = vdt2*mask*cur, row r in ring row r % 5, then a zero
      * row that stands for w's halo rows and a sink row that takes the rows
      * past them; the halo columns of every row stay zero */
-    double *ring = calloc(7 * nx, sizeof(double));
-    if (!ring)
-        return -1;
-    const double *zero = ring + 5 * nx;
-    double *sink = ring + 6 * nx;
+    ptrdiff_t nz = p->nz, nx = p->nx;
+    const double *vdt2 = p->vdt2, *mask = p->mask, *zero = p->ring + 5 * nx;
+    double *ring = p->ring, *sink = ring + 6 * nx;
     for (ptrdiff_t n = n1 - 1; n >= n0; n--) {
+        ptrdiff_t k = n1 - 1 - n;  /* steps done: the roles rotate left by one per step */
+        double *prv = p->f[k % 3], *cur = p->f[(k + 1) % 3], *nxt = p->f[(k + 2) % 3];
         for (ptrdiff_t r = 2; r < 4 && r < nz - 2; r++)
             scale_row(ring + r * nx, vdt2 + r * nx, mask + r * nx, cur + r * nx, nx);
         for (ptrdiff_t i = 2; i < nz - 2; i++) {
@@ -294,22 +286,16 @@ int adjoint_window(ptrdiff_t n0, ptrdiff_t n1, ptrdiff_t nz, ptrdiff_t nx,
             int in = i + 2 < nz - 2;
             adjoint_row(nxt + i * nx, prv + i * nx, cur + i * nx, mask + i * nx, w,
                         in ? ring + (i + 2) % 5 * nx : sink, in ? vdt2 + b : zero,
-                        in ? mask + b : zero, in ? cur + b : zero, nx, inv_dz2, inv_dx2);
+                        in ? mask + b : zero, in ? cur + b : zero, nx, p->inv_dz2, p->inv_dx2);
         }
-        for (ptrdiff_t j = 0; j < 4 * nr; j++)
-            nxt[ri[j]] += rw[j] * d[n * nr + j / 4];
-        if (qs)
-            qs[n] = corners(nxt, si, sw);
-        for (ptrdiff_t i = 0; img && n >= first && i < fz; i++)
-            correlate_row(img + i * fx, fr + ((n - first) * fz + i) * fx,
-                          nxt + (top + i) * nx + left, fx);
-        double *t = prv;
-        prv = cur;
-        cur = nxt;
-        nxt = t;
+        for (ptrdiff_t j = 0; j < 4 * p->nr; j++)
+            nxt[p->ri[j]] += p->rw[j] * p->tr[n * p->nr + j / 4];
+        if (p->qs)
+            p->qs[n] = corners(nxt, p->si, p->sw);
+        for (ptrdiff_t i = 0; p->img && n >= p->first && i < p->fz; i++)
+            correlate_row(p->img + i * p->fx, p->fr + ((n - p->first) * p->fz + i) * p->fx,
+                          nxt + (p->top + i) * nx + p->left, p->fx);
     }
-    free(ring);
-    return 0;
 }
 
 /* The copy of the windows the loader bound: the resolver's own test, the

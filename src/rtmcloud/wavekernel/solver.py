@@ -6,8 +6,9 @@ propagator is the exact discrete transpose of the forward one, which is what
 makes the dot test pass at machine precision and the migration operator a
 true adjoint of modeling.
 
-Here each propagation is set up; its time loop runs in the kernels' windows,
-one call per ``_FINITE_CHECK_EVERY`` steps, with a finiteness check between.
+Here each propagation is set up as one checked ``Plan``; its time loop runs
+in the kernels' windows on that plan, one call per ``_FINITE_CHECK_EVERY``
+steps, with a finiteness check between.
 
 The stored source wavefield has one layout for every caller: the interior
 frames of steps ``first_frame .. nt-1``, frame ``n`` in row
@@ -26,6 +27,7 @@ import numpy as np
 from ..blobstore import KIND_IMAGE, KIND_SHOTREC, ImageBlob
 from ..survey import ShotGatherPlan, VelocityModel2D
 from ._backend import backend_name, impl
+from ._stencil_py import Plan
 
 SPONGE_CELLS = 30
 SPONGE_COEFF = 0.0035
@@ -224,8 +226,8 @@ class _Propagator:
         idx, wt = self.interp_cells([position])
         return idx, self.mask.reshape(-1)[idx] * self.vdt2.reshape(-1)[idx] * wt
 
-    def alloc(self) -> np.ndarray:
-        return np.zeros((self.nz_pad, self.nx_pad))
+    def fields(self) -> tuple:  # a propagation's (prv, cur, nxt), all zero
+        return tuple(np.zeros((self.nz_pad, self.nx_pad)) for _ in range(3))
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -249,15 +251,13 @@ def _run_forward(prop, source, samples, receivers, nt, frames=None, first_frame=
     rec = prop.interp_cells(receivers)
     q = np.zeros(nt)
     q[: len(samples)] = samples[:nt]
-
-    fields = prop.alloc(), prop.alloc(), prop.alloc()
-    # The windows write every row.
-    traces = np.empty((nt, len(receivers)))
+    traces = np.empty((nt, len(receivers)))  # the windows write every row
+    plan = Plan(nt, prop.fields(), prop.coefficients, src, rec, q=q, traces=traces,
+                frames=frames, first_frame=first_frame, top=prop.pad_top, left=prop.pad)
     for n0, n1 in _windows(0, nt, 1):
-        fields = impl.forward_window(n0, n1, *fields, *prop.coefficients, *src, q, *rec,
-                                     traces, frames, first_frame, prop.pad_top, prop.pad)
+        impl.forward_window(plan, n0, n1)
         if (n1 - 1) % _FINITE_CHECK_EVERY == 0:
-            _check_finite(fields[1])
+            _check_finite(plan.fields[1])
     _check_finite(traces)
     return traces
 
@@ -283,12 +283,13 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
     # Without q_star, the steps before first_frame would only add skipped image terms.
     stop = 0 if q_star is not None or image is None else min(nt, first_frame)
 
-    fields = prop.alloc(), prop.alloc(), prop.alloc()
+    plan = Plan(nt, prop.fields(), prop.coefficients, src, rec, data=data, q_star=q_star,
+                frames=frames, image=image, first_frame=first_frame, top=prop.pad_top,
+                left=prop.pad)
     for n0, n1 in reversed(_windows(stop, nt, -1)):
-        fields = impl.adjoint_window(n0, n1, *fields, *prop.coefficients, *rec, data, *src,
-                                     q_star, frames, image, first_frame, prop.pad_top, prop.pad)
+        impl.adjoint_window(plan, n0, n1)
         if (n0 + 1) % _FINITE_CHECK_EVERY == 0:
-            _check_finite(fields[1])
+            _check_finite(plan.fields[1])
     if image is not None:
         _check_finite(image)
     return q_star, image

@@ -7,6 +7,7 @@ session's one build in theirs (``seed``), since a compile takes about a
 second.
 """
 
+import ctypes
 import json
 import os
 import shutil
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from rtmcloud.wavekernel import _backend
+from rtmcloud.wavekernel import _backend, _stencil_py
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SUFFIX = _backend.SUFFIX
@@ -162,6 +163,30 @@ def test_kernel_builds_without_warnings(tmp_path):
     if reason == _backend.NO_COMPILER:
         pytest.skip(reason)
     assert reason is None
+
+
+def test_plan_struct_mirrors_the_library(built_kernel):
+    """The C windows read a plan through ``CPlan``: both sides give one size."""
+    _backend.Kernel(str(built_kernel))
+    lib = ctypes.CDLL(str(built_kernel))
+    lib.plan_size.restype = ctypes.c_size_t
+    assert lib.plan_size() == ctypes.sizeof(_stencil_py.CPlan)
+
+
+def test_plan_size_mismatch_falls_back_with_reason(tmp_path):
+    """A library whose Plan has a field the mirror lacks is refused at load."""
+    tree = tmp_path / "src"
+    shutil.copytree(SRC / "rtmcloud", tree / "rtmcloud",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    source = tree / "rtmcloud" / "wavekernel" / "_stencil.c"
+    text = source.read_text()
+    assert text.count("double *ring;") == 1
+    source.write_text(text.replace("double *ring;", "double *ring, *spare;"))
+    name, reason, _ = probe(tmp_path, src=tree)
+    size = ctypes.sizeof(_stencil_py.CPlan)
+    assert name == "python"
+    assert reason == (f"ValueError: the library's Plan is {size + ctypes.sizeof(ctypes.c_void_p)}"
+                      f" bytes, _stencil_py.CPlan {size}")
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707])

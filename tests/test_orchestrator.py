@@ -418,9 +418,9 @@ def _counting(impl, calls):
     def counted(kind):
         window = getattr(impl, f"{kind}_window")
 
-        def call(n0, n1, *args):
+        def call(plan, n0, n1):
             calls[f"{kind}_step"] += n1 - n0
-            return window(n0, n1, *args)
+            return window(plan, n0, n1)
 
         return call
 

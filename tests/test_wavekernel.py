@@ -3,6 +3,7 @@ import itertools
 import math
 import platform
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -296,17 +297,14 @@ def c_stencil():
     return module
 
 
-FORWARD_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
-                "src_idx", "src_w", "q", "rec_idx", "rec_w", "traces", "frames", "first_frame",
-                "top", "left")
-ADJOINT_ARGS = ("n0", "n1", "prv", "cur", "nxt", "vdt2", "mask", "inv_dz2", "inv_dx2",
-                "rec_idx", "rec_w", "data", "src_idx", "src_w", "q_star", "frames", "image",
-                "first_frame", "top", "left")
+SERIES = ("q", "traces", "data", "q_star", "frames", "image")
 
 
 def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_rows=None,
                 rec_rows=None):
-    """Window arguments on a small model, forward and adjoint, every output on.
+    """Plan and window arguments on a small model, forward and adjoint, every
+    output on; ``make_plan`` builds a plan from either and ``n0``, ``n1`` are
+    the window [0, nt).
 
     Receivers 0 and 1 lie in the same cell with different weights and
     receiver 2 sits exactly on receiver 0, so injection adds into shared
@@ -340,37 +338,44 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
         rec_w = np.concatenate([rec_w, rng.uniform(0.1, 0.9, extra.shape)])
     receivers = range(len(rec_idx))
     first = nt // 3 + 1 if first is None else first
-    common = dict(n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
+    common = dict(nt=nt, n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
                   inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
                   rec_w=rec_w, first_frame=first, top=prop.pad_top, left=prop.pad)
-    forward = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
+    forward = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
                    frames=np.zeros((nt - first, model.nz, model.nx)))
-    adjoint = dict(common, prv=prop.alloc(), cur=prop.alloc(), nxt=prop.alloc(),
+    adjoint = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
                    frames=rng.standard_normal((nt - first, model.nz, model.nx)),
                    image=np.zeros((model.nz, model.nx)))
     if noisy:
         for f in (forward["prv"], forward["cur"], adjoint["prv"], adjoint["cur"]):
             f[2:-2, 2:-2] = rng.standard_normal(f[2:-2, 2:-2].shape) * 1e-3
-    return ({k: forward[k] for k in FORWARD_ARGS}, {k: adjoint[k] for k in ADJOINT_ARGS})
+    return forward, adjoint
+
+
+def make_plan(a):
+    """The plan of a ``window_case`` dict: every key but ``n0`` and ``n1``."""
+    return _stencil_py.Plan(a["nt"], (a["prv"], a["cur"], a["nxt"]),
+                            (a["vdt2"], a["mask"], a["inv_dz2"], a["inv_dx2"]),
+                            (a["src_idx"], a["src_w"]), (a["rec_idx"], a["rec_w"]),
+                            **{k: a[k] for k in SERIES if k in a}, first_frame=a["first_frame"],
+                            top=a["top"], left=a["left"])
 
 
 def run_windows(impl, size=None, nt=150, cuts=None, **case):
-    """A forward then an adjoint propagation over [0, nt) in windows of ``size``
-    steps (one window when None), or cut at ``cuts``, the window boundaries
-    from 0 to nt in order; every field and output afterwards.  ``case`` goes
-    to ``window_case``."""
+    """A forward then an adjoint propagation over [0, nt), one plan each, in
+    windows of ``size`` steps (one window when None), or cut at ``cuts``, the
+    window boundaries from 0 to nt in order; every field and output
+    afterwards.  ``case`` goes to ``window_case``."""
     forward, adjoint = window_case(nt, **case)
     cuts = cuts or [*range(0, nt, size or nt), nt]
     out = {}
     for kind, args, order in (("forward", forward, cuts), ("adjoint", adjoint, cuts[::-1])):
-        window = getattr(impl, f"{kind}_window")
-        fields = (args["prv"], args["cur"], args["nxt"])
+        window, plan = getattr(impl, f"{kind}_window"), make_plan(args)
         for a, b in zip(order, order[1:]):
-            args.update(zip(("prv", "cur", "nxt"), fields), n0=min(a, b), n1=max(a, b))
-            fields = window(*args.values())
-        out.update({f"{kind}.{role}": f for role, f in zip(("prv", "cur", "nxt"), fields)})
+            window(plan, min(a, b), max(a, b))
+        out.update({f"{kind}.{role}": f for role, f in zip(("prv", "cur", "nxt"), plan.fields)})
     out.update(traces=forward["traces"], frames=forward["frames"], q_star=adjoint["q_star"],
                image=adjoint["image"])
     return out
@@ -380,7 +385,8 @@ def _truncated(key):
     return key, lambda a: a[key][:-1].copy()
 
 
-# One window argument made bad, per case; both backends must refuse each.
+# One argument made bad, per case: a plan argument, which building the plan
+# refuses, or a window bound, which both backends' windows refuse.
 BAD_WINDOW_ARGS = pytest.mark.parametrize(
     "key, bad",
     [
@@ -398,6 +404,7 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         _truncated("frames"),
         _truncated("q_star"),
         ("n0", lambda a: a["n1"] + 1),
+        ("n1", lambda a: a["nt"] + 1),
         ("traces", lambda a: np.broadcast_to(a["traces"], a["traces"].shape)),
         ("image", lambda a: None),
         ("image", lambda a: a["image"][:, :-1].copy()),
@@ -412,14 +419,16 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
     # first_frame replaced image_skip_until (first_frame - 1): "skip" ids are its cases
     ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
          "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
-         "n1_past_frames", "n1_past_q_star", "n0_past_n1", "read_only_traces",
+         "n1_past_frames", "n1_past_q_star", "n0_past_n1", "n1_past_plan", "read_only_traces",
          "frames_without_image", "image_not_frame_shaped", "interior_past_grid", "n0_float",
          "skip_none", "skip_float", "skip_negative", "inv_dz2_none", "inv_dx2_str"],
 )
 
 
 def assert_rejected(impl, key, bad):
-    """Both of ``impl``'s windows refuse the case with ValueError, nothing stepped."""
+    """The case is refused with ValueError, nothing stepped: a bad plan
+    argument when the plan is built, a bad window bound by both of
+    ``impl``'s windows on a built plan."""
     for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
         if key not in args:
             continue
@@ -428,11 +437,15 @@ def assert_rejected(impl, key, bad):
             args[name][2:-2, 2:-2] = np.random.default_rng(1).standard_normal(
                 args[name][2:-2, 2:-2].shape)
         args[key] = bad(args)
+        plan = make_plan(args) if key in ("n0", "n1") else None
         arrays = [v for v in args.values() if isinstance(v, np.ndarray)]
         before = [a.copy() for a in arrays]
         refs = [sys.getrefcount(a) for a in arrays]
         with pytest.raises(ValueError):
-            getattr(impl, f"{kind}_window")(*args.values())
+            if plan is None:
+                make_plan(args)
+            else:
+                getattr(impl, f"{kind}_window")(plan, args["n0"], args["n1"])
         # the failed call holds no reference to any argument
         assert [sys.getrefcount(a) for a in arrays] == refs, kind
         for a, b in zip(arrays, before):
@@ -473,18 +486,17 @@ class TestBackendParity:
 
     @pytest.mark.parametrize("first", [-2**70, 2**70], ids=["below", "above"])
     def test_image_skip_past_ssize_t(self, c_stencil, first):
-        # ctypes would wrap such a first_frame; both backends refuse it below
-        # zero and treat it as n1 above: no frame stored, nothing correlated
+        # ctypes would wrap such a first_frame; a plan refuses it below zero
+        # and clamps it to nt above: no frame stored, nothing correlated
         outputs = []
         for impl in (c_stencil, _stencil_py):
             for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
                 args["first_frame"] = first
-                window = getattr(impl, f"{kind}_window")
                 if first < 0:
                     with pytest.raises(ValueError, match="first_frame"):
-                        window(*args.values())
+                        make_plan(args)
                 else:
-                    window(*args.values())
+                    getattr(impl, f"{kind}_window")(make_plan(args), 0, 8)
                     assert np.abs(args["cur"]).max() > 0  # it did step
                 outputs.append(args["frames" if kind == "forward" else "image"])
         assert not any(o.any() for o in outputs)
@@ -509,6 +521,17 @@ class TestBackendParity:
     def test_loaded_isa_is_a_listed_level(self, c_stencil):
         assert c_stencil.isa in ("x86-64-v4", "x86-64-v3", "default")
 
+    def test_plan_keeps_every_array(self):
+        # the struct holds their addresses: they must outlive the caller's references
+        cases = window_case(nt=8)
+        plans = [make_plan(args) for args in cases]
+        kept = [weakref.ref(v) for args in cases for v in args.values()
+                if isinstance(v, np.ndarray)]
+        del cases
+        assert all(ref() is not None for ref in kept)
+        del plans
+        assert all(ref() is None for ref in kept)
+
     @BAD_WINDOW_ARGS
     def test_bad_field_rejected(self, c_stencil, key, bad):
         assert_rejected(c_stencil, key, bad)
@@ -519,13 +542,12 @@ class TestBackendParity:
         assert_rejected(_stencil_py, key, bad)
 
     @pytest.mark.parametrize("shape", [(4, 9), (9, 4)])
-    def test_grid_without_interior_rejected(self, c_stencil, shape):
-        for impl in (c_stencil, _stencil_py):
-            for kind, args in zip(("forward", "adjoint"), window_case(nt=8)):
-                for name in ("prv", "cur", "nxt", "vdt2", "mask"):
-                    args[name] = np.zeros(shape)
-                with pytest.raises(ValueError, match="no interior"):
-                    getattr(impl, f"{kind}_window")(*args.values())
+    def test_grid_without_interior_rejected(self, shape):
+        for args in window_case(nt=8):
+            for name in ("prv", "cur", "nxt", "vdt2", "mask"):
+                args[name] = np.zeros(shape)
+            with pytest.raises(ValueError, match="no interior"):
+                make_plan(args)
 
 
 def length_cuts(nt, lengths):
