@@ -8,10 +8,14 @@ per allocation.  Each job is billed for its own runtime, so the batch cost
 does not depend on the pool size: a sweep over cluster sizes prices the batch
 pool once and places the fixed cluster once per size.
 
-Each placement is one pass over a heap of VM free times.  The leading jobs
-that fit side by side start at t=0 and go into the heap with one ``heapify``;
-each later job takes one heap replacement (plus k-1 pops and pushes for a gang
-job k VMs wide).
+A sweep prepares its jobs once, as a ``JobList``: the ids, durations and
+widths in job-id order, the cumulative widths and the busy VM-hours.  Per
+size only the placement runs, one pass over a heap of VM free times.  The
+leading jobs that fit side by side start at t=0 and go into the heap with one
+``heapify``; each later job takes one heap replacement (plus k-1 pops and
+pushes for a gang job k VMs wide).  The placement keeps the start times and
+the makespan; a result builds its ``job_times`` rows from them when they are
+first read.
 """
 
 from __future__ import annotations
@@ -22,7 +26,8 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from operator import attrgetter, itemgetter
+from functools import cached_property
+from operator import add, attrgetter
 
 import numpy as np
 
@@ -65,6 +70,29 @@ class PricingModel:
         return math.ceil(hours / gran_h - 1e-12) * gran_h
 
 
+class JobList(tuple):
+    """Jobs in the caller's order, prepared once for every placement and bill.
+
+    Besides the jobs themselves it holds their ids, durations and widths in
+    job-id order, the cumulative widths, the widest job and ``busy``, the
+    VM-hours summed in the caller's order.  ``JobList`` of a ``JobList``
+    returns it as is.
+    """
+
+    def __new__(cls, jobs):
+        if type(jobs) is cls:
+            return jobs
+        self = super().__new__(cls, jobs)
+        ordered = sorted(self, key=attrgetter("job_id"))
+        self.ids = [j.job_id for j in ordered]
+        self.durations = [j.duration for j in ordered]
+        self.widths = [j.vms_per_job for j in ordered]
+        self.cum_widths = list(itertools.accumulate(self.widths))
+        self.widest = max(self.widths, default=0)
+        self.busy = sum(j.duration * j.vms_per_job for j in self)
+        return self
+
+
 @dataclass(frozen=True)
 class ScheduleResult:
     mode: str
@@ -74,13 +102,19 @@ class ScheduleResult:
     idle_vm_hours: float
     billed_vm_hours: float
     cost: float
-    job_times: tuple = field(repr=False)  # (job_id, start_h, end_h)
+    placement: tuple = field(repr=False)  # (ids, durations, starts) in job-id order
 
     def __post_init__(self):
         if abs(self.billed_vm_hours - (self.busy_vm_hours + self.idle_vm_hours)) > 1e-6 * max(
             1.0, self.billed_vm_hours
         ):
             raise ValueError("billed hours must equal busy + idle")
+
+    @cached_property
+    def job_times(self) -> tuple:
+        """(job_id, start_h, end_h) per job in job-id order."""
+        ids, durations, starts = self.placement
+        return tuple(zip(ids, starts, map(add, starts, durations)))
 
 
 @dataclass(frozen=True)
@@ -129,25 +163,24 @@ def sample_runtimes(dist: RuntimeDistribution, n_jobs: int) -> list[float]:
     return [float(d) for d in scale * np.exp(dist.spread * z)]
 
 
-def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, float]]:
+def _place(jobs: JobList, n_vms: int) -> tuple[list[float], float]:
     """List scheduling in job-id order; a job takes the earliest-free VM group.
 
-    The leading jobs whose widths sum to at most ``n_vms`` all start at t=0;
-    their ends (``0.0 + d == d``) go into the heap of VM free times with the
-    idle zeros in one ``heapify``.  Each later job starts at the earliest free
-    time and takes one heap replacement; a gang job of width k first pops k-1
-    VMs, so it starts at the k-th earliest free time, and pushes them back at
-    its end.
+    Returns the start times in job-id order and the makespan.  The leading
+    jobs whose widths sum to at most ``n_vms`` all start at t=0; their ends
+    (``0.0 + d == d``) go into the heap of VM free times with the idle zeros
+    in one ``heapify``.  Each later job starts at the earliest free time and
+    takes one heap replacement; a gang job of width k first pops k-1 VMs, so
+    it starts at the k-th earliest free time, and pushes them back at its end.
+    Every end enters the heap and only the least free time leaves it, for an
+    end no smaller, so the makespan is the heap's largest entry.
     """
     if not jobs:
         raise ValueError("need at least one job")
-    ordered = sorted(jobs, key=attrgetter("job_id"))
-    widths = [j.vms_per_job for j in ordered]
-    widest = max(widths)
-    if n_vms < widest:
-        raise ValueError(f"{n_vms} VMs cannot run a job needing {widest}")
-    durations = [j.duration for j in ordered]
-    head = bisect.bisect_right(list(itertools.accumulate(widths)), n_vms)
+    if n_vms < jobs.widest:
+        raise ValueError(f"{n_vms} VMs cannot run a job needing {jobs.widest}")
+    durations, widths = jobs.durations, jobs.widths
+    head = bisect.bisect_right(jobs.cum_widths, n_vms)
     ends = durations[:head]
     # one free time per VM: each leading end, k-1 more for a gang job, idle zeros
     free = ends + [d for d, k in zip(ends, widths) if k > 1 for _ in range(k - 1)]
@@ -165,17 +198,23 @@ def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, fl
             for _ in range(k - 1):
                 heapq.heappush(free, end)
         starts.append(start)
-        ends.append(end)
-    return list(zip([j.job_id for j in ordered], starts, ends))
+    return starts, max(free)
+
+
+def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, float]]:
+    """(job_id, start_h, end_h) per job in job-id order, as ``_place`` puts them."""
+    jobs = JobList(jobs)
+    starts, _ = _place(jobs, n_vms)
+    return list(zip(jobs.ids, starts, map(add, starts, jobs.durations)))
 
 
 def simulate_fixed_cluster(jobs: list[JobSpec], n_vms: int, pricing: PricingModel) -> ScheduleResult:
     """Fixed cluster of ``n_vms``: every VM is billed from t=0 to the makespan."""
-    times = _fcfs_schedule(jobs, n_vms)
-    makespan = max(map(itemgetter(2), times))
-    busy = sum(j.duration * j.vms_per_job for j in jobs)
+    jobs = JobList(jobs)
+    starts, makespan = _place(jobs, n_vms)
     billed, cost = fixed_cluster_bill(n_vms, makespan, pricing)
-    return ScheduleResult("fixed", n_vms, makespan, busy, billed - busy, billed, cost, tuple(times))
+    return ScheduleResult("fixed", n_vms, makespan, jobs.busy, billed - jobs.busy, billed, cost,
+                          (jobs.ids, jobs.durations, starts))
 
 
 def fixed_cluster_bill(
@@ -201,16 +240,15 @@ def simulate_batch_pool(
     allocation overhead."""
     if scale_latency < 0:
         raise ValueError("scale_latency must be >= 0")
-    times = _fcfs_schedule(jobs, max_pool_vms)
-    makespan = max(map(itemgetter(2), times))
-    busy = sum(j.duration * j.vms_per_job for j in jobs)
+    jobs = JobList(jobs)
+    starts, makespan = _place(jobs, max_pool_vms)
     latency_h = scale_latency / 3600.0
     billed = sum(
         pricing.bill_hours(j.duration + latency_h) * j.vms_per_job for j in jobs
     )
     return ScheduleResult(
-        "batch", max_pool_vms, makespan, busy, billed - busy, billed,
-        billed * pricing.on_demand_rate, tuple(times),
+        "batch", max_pool_vms, makespan, jobs.busy, billed - jobs.busy, billed,
+        billed * pricing.on_demand_rate, (jobs.ids, jobs.durations, starts),
     )
 
 
@@ -270,9 +308,11 @@ def idle_cost_curve(
     The batch pool is priced once, at ``vm_counts[0]``: its bill does not
     depend on the pool size, and placing it there raises the same
     ``ValueError`` as the fixed cluster for a size below the widest job.
+    The jobs are prepared once, and every placement reads the one ``JobList``.
     """
     if not vm_counts:
         return []
+    jobs = JobList(jobs)
     batch = simulate_batch_pool(jobs, vm_counts[0], pricing, scale_latency)
     low_priority_cost = apply_low_priority(batch, pricing).cost
     rows = []

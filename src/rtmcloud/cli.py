@@ -167,6 +167,9 @@ def _cmd_report(args) -> int:
             orchestrator.JobTrace(**json.loads(p.read_text()))
             for p in sorted(trace_dir.glob("*.json"))
         ]
+        if not traces:
+            print(f"error: --traces {trace_dir}: no *.json trace files", file=sys.stderr)
+            return 2
         headline = args.n_vms
     try:
         pricing = batchsim.PricingModel(args.rate, args.discount_factor)

@@ -497,13 +497,14 @@ def report(
     jobs = [batchsim.JobSpec(t.shot_id, t.wall_seconds / 3600.0) for t in traces]
     if vm_counts is None:
         vm_counts = batchsim.parse_vm_counts(None, len(jobs))
-    rows = batchsim.idle_cost_curve(jobs, vm_counts, pricing)
-    curve_csv = out_dir / "idle_cost_curve.csv"
-    batchsim.write_curve_csv(rows, curve_csv)
-
     n_head = headline_n_vms or vm_counts[-1]
     n_head = max(1, min(n_head, len(jobs)))
-    head = batchsim.idle_cost_curve(jobs, [n_head], pricing)[0]
+    # one sweep: the headline row is the curve's, or one more size placed after it
+    sizes = vm_counts if n_head in vm_counts else [*vm_counts, n_head]
+    rows = batchsim.idle_cost_curve(jobs, sizes, pricing)
+    head = rows[sizes.index(n_head)]
+    curve_csv = out_dir / "idle_cost_curve.csv"
+    batchsim.write_curve_csv(rows[:len(vm_counts)], curve_csv)
     return CostReport(
         n_jobs=len(jobs),
         mean_runtime_minutes=mean_minutes,

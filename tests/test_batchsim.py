@@ -190,17 +190,51 @@ def curve_row_by_size(jobs, n, pricing, scale_latency=0.0):
 class TestCurvePlacements:
     def test_batch_pool_placed_once_per_sweep(self, monkeypatch):
         calls = []
-        place = batchsim._fcfs_schedule
+        place = batchsim._place
 
         def counting(jobs, n_vms):
             calls.append(n_vms)
             return place(jobs, n_vms)
 
-        monkeypatch.setattr(batchsim, "_fcfs_schedule", counting)
+        monkeypatch.setattr(batchsim, "_place", counting)
         sweep = [4, 1, 9, 2, 9]
         idle_cost_curve(jobs_from([1.0, 2.0, 0.5, 3.0]), sweep, EXACT)
         assert len(calls) == len(sweep) + 1
         assert sorted(calls) == sorted(sweep + [sweep[0]])
+
+    def test_jobs_prepared_once_and_placed_through_module(self, monkeypatch):
+        # rtmbench wraps the two simulate functions as module attributes and
+        # records len(args[0]) as the jobs placed per call
+        prepared, fixed_calls, batch_calls, place_calls = [], [], [], []
+        job_list = batchsim.JobList
+
+        def preparing(jobs):
+            if not isinstance(jobs, job_list):
+                prepared.append(len(jobs))
+            return job_list(jobs)
+
+        def recording(calls, func):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(batchsim, "JobList", preparing)
+        monkeypatch.setattr(batchsim, "simulate_fixed_cluster",
+                            recording(fixed_calls, batchsim.simulate_fixed_cluster))
+        monkeypatch.setattr(batchsim, "simulate_batch_pool",
+                            recording(batch_calls, batchsim.simulate_batch_pool))
+        monkeypatch.setattr(batchsim, "_place", recording(place_calls, batchsim._place))
+        jobs = jobs_from([1.0, 2.0, 0.5, 3.0, 0.25])
+        sweep = [4, 1, 9, 2, 9]
+        idle_cost_curve(jobs, sweep, EXACT)
+        assert prepared == [len(jobs)]
+        assert [args[1] for args in fixed_calls] == sweep
+        assert [args[1] for args in batch_calls] == [sweep[0]]
+        placed = [args[0] for args in fixed_calls + batch_calls + place_calls]
+        assert len(place_calls) == len(sweep) + 1
+        assert all(len(p) == len(jobs) and p is placed[0] for p in placed)
+        assert list(placed[0]) == jobs  # the caller's jobs, in the caller's order
 
     @given(
         durations=durations_strategy,
@@ -208,17 +242,26 @@ class TestCurvePlacements:
         extra_sizes=st.lists(st.integers(0, 6), min_size=1, max_size=5),
         scale_latency=st.sampled_from([0.0, 45.0, 600.0]),
         granularity=st.sampled_from([0.0, 1.0, 60.0]),
+        data=st.data(),
     )
     @settings(max_examples=80, deadline=None)
     def test_rows_equal_per_size_placement(
-        self, durations, widths, extra_sizes, scale_latency, granularity
+        self, durations, widths, extra_sizes, scale_latency, granularity, data
     ):
-        jobs = [JobSpec(i, d, widths[i % len(widths)]) for i, d in enumerate(durations)]
+        ids = data.draw(st.permutations(range(len(durations))), label="job ids")
+        jobs = [JobSpec(i, d, widths[k % len(widths)])
+                for k, (i, d) in enumerate(zip(ids, durations))]
         pricing = PricingModel(3.629, 2.5, billing_granularity=granularity)
         widest = max(j.vms_per_job for j in jobs)
         sweep = [widest + k for k in extra_sizes]
         rows = idle_cost_curve(jobs, sweep, pricing, scale_latency)
         assert rows == [curve_row_by_size(jobs, n, pricing, scale_latency) for n in sweep]
+        busy = sum(j.duration * j.vms_per_job for j in jobs)  # in the caller's order
+        for n, row in zip(sweep, rows):
+            reference = reference_placement(jobs, n)
+            assert simulate_fixed_cluster(jobs, n, pricing).job_times == tuple(reference)
+            assert row.makespan_h == max(end for _, _, end in reference)
+            assert row.busy_vmh == busy
 
     @pytest.mark.parametrize("sweep", [[2, 5], [5, 2]])
     def test_size_below_widest_job_rejected(self, sweep):

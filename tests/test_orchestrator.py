@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import os
@@ -618,13 +619,13 @@ class TestCli:
 
     def test_simulate_with_master_places_once_per_size(self, tmp_path, monkeypatch):
         calls = []
-        place = batchsim._fcfs_schedule
+        place = batchsim._place
 
         def counting(jobs, n_vms):
             calls.append(n_vms)
             return place(jobs, n_vms)
 
-        monkeypatch.setattr(batchsim, "_fcfs_schedule", counting)
+        monkeypatch.setattr(batchsim, "_place", counting)
         sweep = [3, 8, 20, 40]
         rc = main(
             ["simulate", "--jobs", "40", "--mean-minutes", "30", "--seed", "5",
@@ -633,6 +634,28 @@ class TestCli:
         )
         assert rc == 0
         assert len(calls) == len(sweep) + 1
+
+    # sha256 of (stdout, curve.csv) of the reference sweep, 150 sizes at seed 1,
+    # without and with gang jobs, latency, per-minute billing and a master VM
+    REFERENCE_SWEEP = ("simulate --jobs 1500 --mean-minutes 119.28 --spread 0.16 --rate 3.629 "
+                       "--seed 1 --out curve.csv --vm-counts " + ",".join(map(str, range(10, 1501, 10))))
+
+    @pytest.mark.parametrize(
+        "flags, stdout_sha, csv_sha",
+        [
+            ("", "1e8ebbb842bc8f0e0daa25a8ff902abf737cb928180b6c080e81c99a3e998096",
+             "64da9c4c2e95456fe1c21da63664ec65194db12be7f6dd9fdae92374adc0f0f6"),
+            ("--vms-per-job 3 --scale-latency 45 --granularity 60 --with-master",
+             "4366d4f6bb2ca72256a26073c4ee07ebf2d84d23a8a2021334504ed8189419e3",
+             "3579cbaf690b88aef67d9b8538be83170dd38431d23ef360314f4ff61d8e31e3"),
+        ],
+    )
+    def test_simulate_outputs_pinned(self, tmp_path, capsys, monkeypatch, flags, stdout_sha,
+                                     csv_sha):
+        monkeypatch.chdir(tmp_path)
+        assert main((self.REFERENCE_SWEEP + " " + flags).split()) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+        assert hashlib.sha256((tmp_path / "curve.csv").read_bytes()).hexdigest() == csv_sha
 
     @pytest.mark.parametrize("command", ["simulate", "report --paper-numbers"])
     @pytest.mark.parametrize("spec", ["25,,50", "25,x", "0,25"])
@@ -643,6 +666,17 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: --vm-counts '{spec}': ")
         assert list(tmp_path.iterdir()) == []
+
+    def test_report_without_traces_named(self, tmp_path, capsys):
+        traces = tmp_path / "done"
+        traces.mkdir()
+        (traces / "notes.txt").write_text("not a trace")
+        out = tmp_path / "rep"
+        assert main(["report", "--traces", str(traces), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --traces {traces}: no *.json trace files\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -667,14 +701,23 @@ class TestCli:
         assert captured.err == f"error: {message}\n" and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
-    def test_report_paper_numbers(self, tmp_path, capsys):
-        rc = main(["report", "--paper-numbers", "--out-dir", str(tmp_path / "rep")])
+    def test_report_paper_numbers(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["report", "--paper-numbers", "--out-dir", "rep"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "1500 jobs" in out and "119.28 min" in out and "100 VMs" in out
         assert "$10821.98" in out  # matches the batch-pool acceptance number
-        assert (tmp_path / "rep" / "idle_cost_curve.csv").exists()
-        assert (tmp_path / "rep" / "runtimes_sorted.csv").exists()
+        digests = {name: hashlib.sha256((tmp_path / "rep" / name).read_bytes()).hexdigest()
+                   for name in ("idle_cost_curve.csv", "runtimes_sorted.csv")}
+        digests["stdout"] = hashlib.sha256(out.encode()).hexdigest()
+        assert digests == {
+            "idle_cost_curve.csv":
+                "f3a79cfe33f670f8d375f0be2405bfc456f63216f66c5d040c9a313bcdd49e48",
+            "runtimes_sorted.csv":
+                "4cf611cd32263f6ecc741d749d11f96d650bb1971f977fd340d2c674eba9b9a0",
+            "stdout": "c8342642272e0de84a1e8baa404268a0f5cecffd9cd026721c9b13d9bc050e38",
+        }
 
     @pytest.mark.parametrize(
         "argv, config, key",
