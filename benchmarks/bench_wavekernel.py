@@ -82,8 +82,7 @@ def window_args(kind, n, steps, frames=False, seed=0):
     rec_w = np.tile([0.4, 0.1, 0.4, 0.1], (len(cols), 1))
     head = [steps, fields, (vdt2, mask, inv_h2, inv_h2), (src_idx, src_w), (rec_idx, rec_w)]
     first, side = (steps // 8, max(n - 2 * PAD, 1)) if frames else (0, 0)
-    top = (n - side) // 2
-    where = dict(first_frame=first, top=top, left=top)
+    where = dict(first_frame=first, pad=(n - side) // 2)
     if kind == "forward":
         traces = np.zeros((steps, len(cols)))
         # written through once before timing, as a map worker's reused buffer is

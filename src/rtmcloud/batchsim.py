@@ -201,13 +201,6 @@ def _place(jobs: JobList, n_vms: int) -> tuple[list[float], float]:
     return starts, max(free)
 
 
-def _fcfs_schedule(jobs: list[JobSpec], n_vms: int) -> list[tuple[int, float, float]]:
-    """(job_id, start_h, end_h) per job in job-id order, as ``_place`` puts them."""
-    jobs = JobList(jobs)
-    starts, _ = _place(jobs, n_vms)
-    return list(zip(jobs.ids, starts, map(add, starts, jobs.durations)))
-
-
 def simulate_fixed_cluster(jobs: list[JobSpec], n_vms: int, pricing: PricingModel) -> ScheduleResult:
     """Fixed cluster of ``n_vms``: every VM is billed from t=0 to the makespan."""
     jobs = JobList(jobs)

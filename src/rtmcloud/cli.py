@@ -155,7 +155,7 @@ def _cmd_report(args) -> int:
 
     if args.paper_numbers:
         traces = orchestrator.synthetic_reference_traces()
-        headline = 100
+        headline = 100 if args.n_vms is None else args.n_vms
         if not args.vm_counts:
             args.vm_counts = "25,50,100,200,400,800,1500"
     else:
@@ -163,10 +163,13 @@ def _cmd_report(args) -> int:
             print("error: --traces DIR required unless --paper-numbers", file=sys.stderr)
             return 2
         trace_dir = Path(args.traces)
-        traces = [
-            orchestrator.JobTrace(**json.loads(p.read_text()))
-            for p in sorted(trace_dir.glob("*.json"))
-        ]
+        traces = []
+        for p in sorted(trace_dir.glob("*.json")):
+            try:
+                traces.append(orchestrator.JobTrace(**json.loads(p.read_text())))
+            except (OSError, TypeError, ValueError) as exc:
+                print(f"error: --traces {p}: not a job trace: {exc}", file=sys.stderr)
+                return 2
         if not traces:
             print(f"error: --traces {trace_dir}: no *.json trace files", file=sys.stderr)
             return 2

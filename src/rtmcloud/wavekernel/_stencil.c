@@ -186,7 +186,7 @@ INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
 typedef struct {
     ptrdiff_t nt, nz, nx;
     ptrdiff_t nr;                       /* receivers, four cells and weights each */
-    ptrdiff_t first, fz, fx, top, left; /* frames from step first, fz x fx at (top, left) */
+    ptrdiff_t first, fz, fx, pad;       /* frames from step first, fz x fx at (pad, pad) */
     double inv_dz2, inv_dx2;
     double *f[3];                       /* prv (held undamped), cur, nxt */
     const double *vdt2, *mask;
@@ -249,7 +249,7 @@ void forward_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
                 p->tr[n * p->nr + r] = corners(u, p->ri + 4 * r, p->rw + 4 * r);
             for (ptrdiff_t i = 0; p->fr && n >= p->first && i < p->fz; i++)
                 store_row(p->fr + ((n - p->first) * p->fz + i) * p->fx,
-                          u + (p->top + i) * nx + p->left, p->fx);
+                          u + (p->pad + i) * nx + p->pad, p->fx);
         }
     }
     if (p->fr)
@@ -294,7 +294,7 @@ void adjoint_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
             p->qs[n] = corners(nxt, p->si, p->sw);
         for (ptrdiff_t i = 0; p->img && n >= p->first && i < p->fz; i++)
             correlate_row(p->img + i * p->fx, p->fr + ((n - p->first) * p->fz + i) * p->fx,
-                          nxt + (p->top + i) * nx + p->left, p->fx);
+                          nxt + (p->pad + i) * nx + p->pad, p->fx);
     }
 }
 

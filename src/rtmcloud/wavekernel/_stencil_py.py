@@ -43,7 +43,7 @@ _N, _P = ctypes.c_ssize_t, ctypes.c_void_p
 class CPlan(ctypes.Structure):
     """A plan as the C windows read it: ``Plan`` in ``_stencil.c``, field for field."""
 
-    _fields_ = ([(name, _N) for name in "nt nz nx nr first fz fx top left".split()]
+    _fields_ = ([(name, _N) for name in "nt nz nx nr first fz fx pad".split()]
                 + [("inv_dz2", ctypes.c_double), ("inv_dx2", ctypes.c_double), ("f", _P * 3)]
                 + [(name, _P) for name in "vdt2 mask si sw ri rw qs tr fr img ring".split()])
 
@@ -57,7 +57,8 @@ class Plan:
     and weights, both shaped ``(n_positions, 4)``.  A forward plan takes
     ``q``, an adjoint one ``data``; the rest are its optional series.  The
     frames hold the steps the image reads, step ``n`` in row
-    ``n - first_frame`` for ``n >= first_frame``.  Building raises ValueError
+    ``n - first_frame`` for ``n >= first_frame``, each the fz x fx interior
+    at (pad, pad), ``(fz, fx) = frames.shape[1:]``.  Building raises ValueError
     unless the arguments keep the contract for ``nt`` steps: every series
     has ``nt`` rows and the frames one for each step from ``first_frame`` on,
     which is clamped to ``nt``.  The plan keeps a reference to every array,
@@ -65,9 +66,9 @@ class Plan:
     """
 
     def __init__(self, nt, fields, coefficients, src, rec, *, q=None, traces=None, data=None,
-                 q_star=None, frames=None, image=None, first_frame=0, top=0, left=0):
-        if not all(isinstance(v, numbers.Integral) for v in (nt, top, left, first_frame)):
-            raise ValueError("nt, top, left and first_frame must be integers")
+                 q_star=None, frames=None, image=None, first_frame=0, pad=0):
+        if not all(isinstance(v, numbers.Integral) for v in (nt, pad, first_frame)):
+            raise ValueError("nt, pad and first_frame must be integers")
         vdt2, mask, inv_dz2, inv_dx2 = coefficients
         if not all(isinstance(v, numbers.Real) for v in (inv_dz2, inv_dx2)):
             raise ValueError("inv_dz2 and inv_dx2 must be real numbers")
@@ -127,8 +128,8 @@ class Plan:
             fz, fx = frames.shape[1:]
             if image is not None and take(image, "image", 2, True).shape != (fz, fx):
                 raise ValueError("image must be shaped like one frame")
-            if top < 0 or left < 0 or top + fz > nz or left + fx > nx:
-                raise ValueError(f"a {fz} x {fx} interior at ({top}, {left}) leaves the "
+            if pad < 0 or pad + fz > nz or pad + fx > nx:
+                raise ValueError(f"a {fz} x {fx} interior at ({pad}, {pad}) leaves the "
                                  f"{nz} x {nx} grid")
         for i, (_, start, size, written) in enumerate(taken):
             for _, b_start, b_size, b_written in taken[i + 1:]:
@@ -136,7 +137,7 @@ class Plan:
                     raise ValueError("an array the window writes overlaps another argument")
 
         self.nt, self.fields, self.first_frame = nt, tuple(fields), first_frame
-        self.interior = np.s_[top : top + fz, left : left + fx]  # where a frame lies
+        self.interior = np.s_[pad : pad + fz, pad : pad + fx]  # where a frame lies
         self.vdt2, self.mask, self.inv_dz2, self.inv_dx2 = coefficients
         (self.src_idx, self.src_w), (self.rec_idx, self.rec_w) = src, rec
         self.q, self.traces, self.data, self.q_star = q, traces, data, q_star
@@ -146,7 +147,7 @@ class Plan:
         at = {id(a): start for a, start, _, _ in taken}
         ptr = [at.get(id(a)) for a in (*fields, vdt2, mask, *src, *rec, q if forward else q_star,
                                        traces if forward else data, frames, image)]
-        self.c = CPlan(nt, nz, nx, nr, first_frame, fz, fx, top, left, inv_dz2, inv_dx2,
+        self.c = CPlan(nt, nz, nx, nr, first_frame, fz, fx, pad, inv_dz2, inv_dx2,
                        (_P * 3)(*ptr[:3]), *ptr[3:], None if forward else self.ring.ctypes.data)
 
     def window(self, n0, n1):
@@ -238,8 +239,8 @@ def forward_window(p, n0, n1):
 
     Step n injects ``src_w * q[n]`` at the source cells, then writes the
     receiver traces to ``traces[n]`` and, when ``n >= first_frame``, the
-    ``frames.shape[1:]`` interior at row ``top``, column ``left`` to
-    ``frames[n - first_frame]``; either output may be None.
+    ``fz x fx`` interior at ``(pad, pad)`` to ``frames[n - first_frame]``;
+    either output may be None.
     """
     for n in p.window(n0, n1):
         prv, cur, nxt = p.fields
@@ -258,9 +259,9 @@ def adjoint_window(p, n0, n1):
 
     Step n injects ``rec_w * data[n]`` at the receiver cells, then writes
     the source-cell sum to ``q_star[n]`` and, when ``n >= first_frame``,
-    adds ``frames[n - first_frame]`` times the interior at (``top``,
-    ``left``) to ``image``.  ``q_star`` (with the source cells) and
-    ``frames`` with ``image`` may be None.
+    adds ``frames[n - first_frame]`` times the interior at ``(pad, pad)``
+    to ``image``.  ``q_star`` (with the source cells) and ``frames`` with
+    ``image`` may be None.
     """
     for n in reversed(p.window(n0, n1)):
         prv, cur, nxt = p.fields

@@ -154,7 +154,7 @@ def ricker(peak_frequency: float, dt: float, nt: int) -> Wavelet:
 class _Propagator:
     """Padded grid, damping profile, and interpolation helpers for one model."""
 
-    def __init__(self, model: VelocityModel2D, dt: float, free_surface: bool = False):
+    def __init__(self, model: VelocityModel2D, dt: float):
         limit = stable_dt(model)
         if dt > limit:
             raise CFLViolationError(dt, limit)
@@ -162,37 +162,28 @@ class _Propagator:
             raise ValueError("dt must be positive")
         self.model = model
         self.dt = dt
-        self.pad_top = HALO if free_surface else SPONGE_CELLS + HALO
         self.pad = SPONGE_CELLS + HALO
-        self.nz_pad = model.nz + self.pad_top + self.pad
+        self.nz_pad = model.nz + 2 * self.pad
         self.nx_pad = model.nx + 2 * self.pad
 
-        v_pad = np.pad(
-            model.v, ((self.pad_top, self.pad), (self.pad, self.pad)), mode="edge"
-        )
-        self.vdt2 = (v_pad * dt) ** 2
-        self.mask = self._sponge_mask(free_surface)
+        self.vdt2 = (np.pad(model.v, self.pad, mode="edge") * dt) ** 2
+        self.mask = self._sponge_mask()
         self.inv_dz2 = 1.0 / model.dz**2
         self.inv_dx2 = 1.0 / model.dx**2
         self.coefficients = (self.vdt2, self.mask, self.inv_dz2, self.inv_dx2)
 
-    def _sponge_taper(self, n: int, leading: bool) -> np.ndarray:
+    @staticmethod
+    def _sponge_taper(n: int) -> np.ndarray:
+        """Damping along one axis of ``n`` cells: the sponge at both ends."""
         taper = np.ones(n)
         for depth in range(1, SPONGE_CELLS + 1):
             val = math.exp(-SPONGE_COEFF * (depth / SPONGE_CELLS) ** 2)
-            idx = HALO + SPONGE_CELLS - depth if leading else n - 1 - HALO - SPONGE_CELLS + depth
-            taper[idx] = val
+            taper[HALO + SPONGE_CELLS - depth] = val
+            taper[n - 1 - HALO - SPONGE_CELLS + depth] = val
         return taper
 
-    def _sponge_mask(self, free_surface: bool) -> np.ndarray:
-        tz = np.ones(self.nz_pad)
-        if not free_surface:
-            tz *= self._sponge_taper(self.nz_pad, leading=True)
-        tz *= self._sponge_taper(self.nz_pad, leading=False)
-        tx = self._sponge_taper(self.nx_pad, leading=True) * self._sponge_taper(
-            self.nx_pad, leading=False
-        )
-        mask = np.outer(tz, tx)
+    def _sponge_mask(self) -> np.ndarray:
+        mask = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
         # Halo cells are a Dirichlet rim; they never update, zero the mask
         # there so the array states the truth.
         mask[:HALO, :] = 0.0
@@ -210,7 +201,7 @@ class _Propagator:
         for k, (x, z) in enumerate(positions):
             if not m.contains(x, z):
                 raise ValueError(f"position (x={x:g}, z={z:g}) outside the model extent")
-            gz = (z - m.oz) / m.dz + self.pad_top
+            gz = (z - m.oz) / m.dz + self.pad
             gx = (x - m.ox) / m.dx + self.pad
             i0, j0 = int(math.floor(gz)), int(math.floor(gx))
             i0 = min(i0, self.nz_pad - 2)
@@ -253,7 +244,7 @@ def _run_forward(prop, source, samples, receivers, nt, frames=None, first_frame=
     q[: len(samples)] = samples[:nt]
     traces = np.empty((nt, len(receivers)))  # the windows write every row
     plan = Plan(nt, prop.fields(), prop.coefficients, src, rec, q=q, traces=traces,
-                frames=frames, first_frame=first_frame, top=prop.pad_top, left=prop.pad)
+                frames=frames, first_frame=first_frame, pad=prop.pad)
     for n0, n1 in _windows(0, nt, 1):
         impl.forward_window(plan, n0, n1)
         if (n1 - 1) % _FINITE_CHECK_EVERY == 0:
@@ -284,8 +275,7 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
     stop = 0 if q_star is not None or image is None else min(nt, first_frame)
 
     plan = Plan(nt, prop.fields(), prop.coefficients, src, rec, data=data, q_star=q_star,
-                frames=frames, image=image, first_frame=first_frame, top=prop.pad_top,
-                left=prop.pad)
+                frames=frames, image=image, first_frame=first_frame, pad=prop.pad)
     for n0, n1 in reversed(_windows(stop, nt, -1)):
         impl.adjoint_window(plan, n0, n1)
         if (n0 + 1) % _FINITE_CHECK_EVERY == 0:
@@ -320,7 +310,6 @@ def forward_model(
     dt: float,
     nt: int,
     shot_id: int = 0,
-    free_surface: bool = False,
     store_wavefield: bool = True,
     *,
     frames_out: np.ndarray | None = None,
@@ -351,7 +340,7 @@ def forward_model(
         frames = frames_out
     else:
         frames = np.empty(shape) if store_wavefield else None  # the window writes every row
-    prop = _Propagator(model, dt, free_surface)
+    prop = _Propagator(model, dt)
     traces = _run_forward(prop, source, wavelet.samples, receivers, nt, frames, first)
     return ShotRecord(shot_id, tuple(receivers), dt, nt, traces), frames
 
@@ -361,7 +350,6 @@ def rtm_shot_image(
     plan: ShotGatherPlan,
     observed: ShotRecord,
     wavelet: Wavelet,
-    free_surface: bool = False,
     *,
     frames: np.ndarray | None = None,
 ) -> ImageGrid:
@@ -371,7 +359,7 @@ def rtm_shot_image(
     the sharp injection footprint at the shot location out of the image.
 
     ``frames`` is the stored source wavefield that ``forward_model`` returns
-    for this model, plan, wavelet and ``free_surface``, shaped
+    for this model, plan and wavelet, shaped
     ``(observed.nt - first_frame, model.nz, model.nx)``.  Passing it saves
     the forward propagation that would otherwise recompute the same frames;
     the image is the same either way.  When the wavelet is active up to the
@@ -385,7 +373,7 @@ def rtm_shot_image(
     first, shape = frame_layout(model, wavelet, observed.nt)
     if frames is not None and frames.shape != shape:
         raise ValueError(f"frames shape {frames.shape} != {shape} (nt - first_frame, nz, nx)")
-    prop = _Propagator(model, observed.dt, free_surface)
+    prop = _Propagator(model, observed.dt)
     if frames is None:
         frames = np.empty(shape)
         _run_forward(prop, plan.source, wavelet.samples, plan.receivers, observed.nt, frames,

@@ -332,7 +332,8 @@ class TestScheduleProperties:
         widest = max(j.vms_per_job for j in jobs)
         total = sum(j.vms_per_job for j in jobs)
         n_vms = data.draw(st.integers(widest, total + 4), label="n_vms")
-        assert batchsim._fcfs_schedule(jobs, n_vms) == reference_placement(jobs, n_vms)
+        assert (simulate_fixed_cluster(jobs, n_vms, EXACT).job_times
+                == tuple(reference_placement(jobs, n_vms)))
 
     def test_deterministic(self):
         jobs = jobs_from(sample_runtimes(RuntimeDistribution(60.0, seed=3), 40))

@@ -16,7 +16,7 @@ import pytest
 
 from rtmcloud import batchsim, orchestrator
 from rtmcloud.batchsim import PricingModel
-from rtmcloud.blobstore import BlobStore, decode_image
+from rtmcloud.blobstore import BlobStore, decode_image, encode_image
 from rtmcloud.cli import build_parser, main
 from rtmcloud.config import PipelineConfig, config_from_args, config_from_dict, load_config
 from rtmcloud.msgqueue import FileQueue, QueueMessage
@@ -493,6 +493,40 @@ class TestMigrateShot:
             np.testing.assert_array_equal(image, fresh[shot], err_msg=f"shot {shot}")
 
 
+# sha256 of the default config's leaf blobs, migrate_shot(PipelineConfig(), shot)
+# stored with leaf_count=1, by shot.  Both backends give these bits.  Replacing
+# the sponge by an absorbing boundary (ROADMAP item 2, step 2) changes every
+# image, so it changes these digests on purpose.
+DEFAULT_LEAF_SHA256 = (
+    "4ae57c99f53451f5314470bd128abd30fe0839763aa5e2c401c78ddbc36c8572",
+    "f55c56edb3b8d9c96645e3042fc2bc97daf9b5bd041f04fe9590a26fc3ef9a82",
+    "88de8eac6af870e72d979ffe67d2b13a5334d2673337fbbd9605c5b88848fef6",
+    "8f06cd83e1f9a57fa9529546c8f85a2f0ae7bffde5d46d26c240d49af6b35e20",
+    "b70660c10fd2d011e75d6d12092edf17e061dceffbe524c2d82a6522be4d10db",
+    "4d57df1b4f6f62ab6c15dd098156eb8c8924053021a6f5de424fc12acff1b320",
+    "ef5c277a3b05a1937c81015a1afd5319bf38a6b22448c3de6a749144aea1cdf7",
+    "836763a896cb5e90fa80d14eb48d7d39d70ac2ed83c2cdda617f3af96e590ae4",
+)
+
+
+@pytest.mark.parametrize("backend", ["c", "python"])
+def test_default_leaf_images_pinned(monkeypatch, backend):
+    """Every default shot on the compiled kernels, shot 0 on the NumPy fallback."""
+    if backend == "c":
+        impl, reason = _backend.load_stencil()
+        if reason == _backend.NO_COMPILER:
+            pytest.skip(reason)
+        assert impl is not None, reason
+    else:
+        impl = _stencil_py
+    monkeypatch.setattr(solver, "impl", impl)
+    cfg = PipelineConfig()
+    shots = range(cfg.survey.n_receivers) if backend == "c" else [0]
+    digests = [hashlib.sha256(encode_image(orchestrator.migrate_shot(cfg, shot).to_blob(
+        leaf_count=1))).hexdigest() for shot in shots]
+    assert digests == [DEFAULT_LEAF_SHA256[shot] for shot in shots]
+
+
 class TestStackLinearity:
     def test_wavelet_scaling_scales_stacked_image(self, tmp_path):
         # fixed observed data, doubled migration wavelet: image doubles
@@ -678,6 +712,23 @@ class TestCli:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("text, why", [("{bad", "Expecting property name"),
+                                           ('{"shot_id": 1}', "missing 5 required")],
+                             ids=["not_json", "missing_fields"])
+    def test_report_malformed_trace_named(self, tmp_path, capsys, text, why):
+        traces = tmp_path / "done"
+        traces.mkdir()
+        trace = orchestrator.JobTrace(0, 0, 0.0, 1.0, 1.0, "0" * 64)
+        (traces / "shot_0.json").write_text(json.dumps(trace.to_dict()))
+        (traces / "shot_1.json").write_text(text)
+        out = tmp_path / "rep"
+        assert main(["report", "--traces", str(traces), "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        prefix = f"error: --traces {traces / 'shot_1.json'}: not a job trace: "
+        assert captured.err.startswith(prefix) and why in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -719,6 +770,16 @@ class TestCli:
             "stdout": "c8342642272e0de84a1e8baa404268a0f5cecffd9cd026721c9b13d9bc050e38",
         }
 
+    def test_report_paper_numbers_headline_flag(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["report", "--paper-numbers", "--n-vms", "400", "--out-dir", "rep"]) == 0
+        out = capsys.readouterr().out
+        curve = (tmp_path / "rep" / "idle_cost_curve.csv").read_text().splitlines()
+        row = dict(zip(curve[0].split(","), next(r for r in curve[1:] if r.startswith("400,"))
+                       .split(",")))
+        assert f"at 400 VMs: makespan {float(row['makespan_h']):.2f} h, " \
+               f"fixed ${float(row['fixed_cost']):.2f}," in out
+
     @pytest.mark.parametrize(
         "argv, config, key",
         [
@@ -757,7 +818,7 @@ class TestCli:
         assert not list((tmp_path / "out").glob("tasks/done/*"))
 
     def test_reduce_cli(self, tmp_path):
-        from rtmcloud.blobstore import ImageBlob, encode_image
+        from rtmcloud.blobstore import ImageBlob
 
         store = BlobStore(tmp_path / "s")
         queue = FileQueue(tmp_path / "q")

@@ -340,7 +340,7 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
     first = nt // 3 + 1 if first is None else first
     common = dict(nt=nt, n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
                   inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
-                  rec_w=rec_w, first_frame=first, top=prop.pad_top, left=prop.pad)
+                  rec_w=rec_w, first_frame=first, pad=prop.pad)
     forward = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
                    frames=np.zeros((nt - first, model.nz, model.nx)))
@@ -360,7 +360,7 @@ def make_plan(a):
                             (a["vdt2"], a["mask"], a["inv_dz2"], a["inv_dx2"]),
                             (a["src_idx"], a["src_w"]), (a["rec_idx"], a["rec_w"]),
                             **{k: a[k] for k in SERIES if k in a}, first_frame=a["first_frame"],
-                            top=a["top"], left=a["left"])
+                            pad=a["pad"])
 
 
 def run_windows(impl, size=None, nt=150, cuts=None, **case):
@@ -408,7 +408,7 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         ("traces", lambda a: np.broadcast_to(a["traces"], a["traces"].shape)),
         ("image", lambda a: None),
         ("image", lambda a: a["image"][:, :-1].copy()),
-        ("top", lambda a: a["mask"].shape[0]),
+        ("pad", lambda a: a["mask"].shape[0]),
         ("n0", lambda a: 0.0),
         ("first_frame", lambda a: None),
         ("first_frame", lambda a: float(a["first_frame"])),
@@ -638,18 +638,6 @@ class TestBlobSerialization:
         assert blob.nz == nt and blob.nx == len(receivers)
         assert blob.dz == dt
         np.testing.assert_array_equal(blob.values, rec.traces)
-
-
-class TestFreeSurface:
-    def test_option_off_by_default_and_changes_result(self):
-        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.6)
-        rec_default, _ = forward_model(model, source, wavelet, receivers, dt, nt,
-                                       store_wavefield=False)
-        rec_free, _ = forward_model(model, source, wavelet, receivers, dt, nt,
-                                    store_wavefield=False, free_surface=True)
-        # the reflecting top adds a ghost arrival the absorbing run lacks
-        assert np.abs(rec_free.traces - rec_default.traces).max() > 0
-        assert np.isfinite(rec_free.traces).all()
 
 
 class TestShotRecordValidation:
