@@ -7,7 +7,7 @@ backend plus the speedup.  The forward window injects the source and
 records the traces; the adjoint window injects the data and records the
 source-cell series.  With ``--frames`` each window also does what a
 migrated shot adds: the forward stores the model interior (the grid less
-its ``PAD``-cell sponge and halo each side) of every step from
+its ``PAD`` cells of sponge and halo each side) of every step from
 ``first_frame = steps // 8`` on, as the solver stores the frames the image
 reads, and the adjoint correlates the same frames into an image.  Without
 it both windows get no frames, and ``first_frame`` 0.  ``--repeat N`` runs

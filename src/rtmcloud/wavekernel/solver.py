@@ -6,6 +6,16 @@ propagator is the exact discrete transpose of the forward one, which is what
 makes the dot test pass at machine precision and the migration operator a
 true adjoint of modeling.
 
+The model is padded on every side with ``SPONGE_CELLS`` = 20 sponge cells,
+which damp the field by ``exp(-SPONGE_COEFF * (depth / SPONGE_CELLS)**2)``
+per step with ``SPONGE_COEFF`` = 0.1, and a ``HALO`` of 2 cells, a Dirichlet
+rim that never updates: the default 101² model runs on a 145² grid.  Against
+a reference whose rim is too far out to answer within the 1.4 s record, one
+default shot's traces differ by 3.8% of the reference's peak
+(``test_boundary_reflection_below_5_percent`` holds it under 5%), and default
+shot 0's image by 0.75% in relative L2
+(``test_default_image_matches_far_rim_reference`` holds it under 2%).
+
 Here each propagation is set up as one checked ``Plan``; its time loop runs
 in the kernels' windows on that plan, one call per ``_FINITE_CHECK_EVERY``
 steps, with a finiteness check between.
@@ -29,8 +39,8 @@ from ..survey import ShotGatherPlan, VelocityModel2D
 from ._backend import backend_name, impl
 from ._stencil_py import Plan
 
-SPONGE_CELLS = 30
-SPONGE_COEFF = 0.0035
+SPONGE_CELLS = 20
+SPONGE_COEFF = 0.1
 HALO = 2
 CFL_SAFETY = 0.9
 _FINITE_CHECK_EVERY = 128
@@ -167,30 +177,19 @@ class _Propagator:
         self.nx_pad = model.nx + 2 * self.pad
 
         self.vdt2 = (np.pad(model.v, self.pad, mode="edge") * dt) ** 2
-        self.mask = self._sponge_mask()
+        self.mask = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
         self.inv_dz2 = 1.0 / model.dz**2
         self.inv_dx2 = 1.0 / model.dx**2
         self.coefficients = (self.vdt2, self.mask, self.inv_dz2, self.inv_dx2)
 
     @staticmethod
     def _sponge_taper(n: int) -> np.ndarray:
-        """Damping along one axis of ``n`` cells: the sponge at both ends."""
-        taper = np.ones(n)
-        for depth in range(1, SPONGE_CELLS + 1):
-            val = math.exp(-SPONGE_COEFF * (depth / SPONGE_CELLS) ** 2)
-            taper[HALO + SPONGE_CELLS - depth] = val
-            taper[n - 1 - HALO - SPONGE_CELLS + depth] = val
-        return taper
-
-    def _sponge_mask(self) -> np.ndarray:
-        mask = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
-        # Halo cells are a Dirichlet rim; they never update, zero the mask
-        # there so the array states the truth.
-        mask[:HALO, :] = 0.0
-        mask[-HALO:, :] = 0.0
-        mask[:, :HALO] = 0.0
-        mask[:, -HALO:] = 0.0
-        return mask
+        """Damping along one axis of ``n`` cells: 0 on the halo, a Dirichlet
+        rim that never updates, then the sponge, deepest cell first."""
+        depth = np.arange(1, SPONGE_CELLS + 1)
+        edge = np.concatenate([np.zeros(HALO),
+                               np.exp(-SPONGE_COEFF * (depth / SPONGE_CELLS) ** 2)[::-1]])
+        return np.concatenate([edge, np.ones(n - 2 * edge.size), edge[::-1]])
 
     def interp_cells(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """Bilinear cells as flat indices into the padded grid, and their

@@ -19,7 +19,7 @@ from rtmcloud.config import PipelineConfig, config_from_dict
 from rtmcloud.msgqueue import FileQueue, QueueMessage
 from rtmcloud.reducer import ReductionConfig, run_reduction_service
 from rtmcloud.survey import ShotGatherPlan, make_layered_model
-from rtmcloud.wavekernel import adjoint_dot_test
+from rtmcloud.wavekernel import adjoint_dot_test, solver
 
 from conftest import rel_diff
 from test_msgqueue import _consumer, _producer
@@ -229,6 +229,18 @@ def test_criterion_7_end_to_end_physics(tmp_path):
         f"argmax ({iz},{ix}) is {dist} cells from scatterer ({ci},{cj}); "
         f"rerun relative diff {rerun_diff:.1e}, {elapsed:.1f}s",
     )
+
+
+def test_default_image_matches_far_rim_reference(monkeypatch):
+    # The reference pads the model with 150 cells at a strong coefficient:
+    # its rim is 1.5 km out, too far to answer within the record.
+    cfg = PipelineConfig()
+    image = orchestrator.migrate_shot(cfg, 0).values
+    monkeypatch.setattr(solver, "SPONGE_CELLS", 150)
+    monkeypatch.setattr(solver, "SPONGE_COEFF", 0.2)
+    reference = orchestrator.migrate_shot(cfg, 0).values
+    err = np.linalg.norm(image - reference) / np.linalg.norm(reference)
+    assert err < 0.02, f"shot 0 image differs from the far-rim reference by {err:.3f} (L2)"
 
 
 def test_criterion_8_fcfs_oracle_equivalence():

@@ -494,18 +494,19 @@ class TestMigrateShot:
 
 
 # sha256 of the default config's leaf blobs, migrate_shot(PipelineConfig(), shot)
-# stored with leaf_count=1, by shot.  Both backends give these bits.  Replacing
-# the sponge by an absorbing boundary (ROADMAP item 2, step 2) changes every
-# image, so it changes these digests on purpose.
+# stored with leaf_count=1, by shot.  Both backends give these bits.  They pin
+# the images of the 20-cell sponge at coefficient 0.1 (solver.SPONGE_CELLS,
+# SPONGE_COEFF); a change to the boundary changes every image, so it changes
+# these digests on purpose.
 DEFAULT_LEAF_SHA256 = (
-    "4ae57c99f53451f5314470bd128abd30fe0839763aa5e2c401c78ddbc36c8572",
-    "f55c56edb3b8d9c96645e3042fc2bc97daf9b5bd041f04fe9590a26fc3ef9a82",
-    "88de8eac6af870e72d979ffe67d2b13a5334d2673337fbbd9605c5b88848fef6",
-    "8f06cd83e1f9a57fa9529546c8f85a2f0ae7bffde5d46d26c240d49af6b35e20",
-    "b70660c10fd2d011e75d6d12092edf17e061dceffbe524c2d82a6522be4d10db",
-    "4d57df1b4f6f62ab6c15dd098156eb8c8924053021a6f5de424fc12acff1b320",
-    "ef5c277a3b05a1937c81015a1afd5319bf38a6b22448c3de6a749144aea1cdf7",
-    "836763a896cb5e90fa80d14eb48d7d39d70ac2ed83c2cdda617f3af96e590ae4",
+    "8c47647d029fc998bf4c817ff9cc08745715e4b50b74680d8ea763fbdeb11287",
+    "24096ac631da7e3863a41d85fbd1c464ac8d2e20a82bea9bbdd8af4e5c0ec2ef",
+    "21a6276abe040b3b8ec2bf2e51aaa8910b5cf1ff3a734a7d64e11adbe40046d3",
+    "49c8fee34729b1a4688c1554f0c57f17da714492a56bc2a70d9361591f993f75",
+    "f0a57fce0bcdebc9e0180e0f397a5e83900484f197fb652a16d734e53a0c6a5a",
+    "272d899f0b384343377bf1adccba2309c5ff7135a20e5c3643d2100774135fcd",
+    "02ada5eff2474ef2fa5ed0d4ae51d1ecaa5a634d3040e1424e0c56de69d57cab",
+    "6743410dca8fabb73742e918a97f69a83002d201595f1d6c465da45110c362a9",
 )
 
 

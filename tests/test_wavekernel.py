@@ -287,6 +287,45 @@ class TestAdjoint:
             adjoint_dot_test(model, plan, wavelet_length=100, seed=0)
 
 
+class TestSponge:
+    def test_mask_zero_on_halo_one_inside(self, uniform_model_61):
+        prop = solver._Propagator(uniform_model_61, default_dt(uniform_model_61))
+        halo, pad = solver.HALO, prop.pad
+        assert pad == solver.SPONGE_CELLS + halo
+        mask = prop.mask
+        rim = np.ones(mask.shape, dtype=bool)
+        rim[halo:-halo, halo:-halo] = False
+        assert (mask[rim] == 0.0).all()
+        assert (mask[pad:-pad, pad:-pad] == 1.0).all()
+        # the deepest sponge cell of one axis damps by exp(-SPONGE_COEFF); a
+        # corner, deepest along both, by its square
+        edge = mask[mask.shape[0] // 2]
+        assert edge[edge > 0].min() == pytest.approx(math.exp(-solver.SPONGE_COEFF), rel=1e-15)
+        assert mask[mask > 0].min() == pytest.approx(math.exp(-2 * solver.SPONGE_COEFF),
+                                                     rel=1e-15)
+
+    @staticmethod
+    def shot_traces(extra):
+        """One shot at (510, 500) m and 10 receivers at z = 100 m of the default
+        101² model, 1.4 s long, with ``extra`` more cells of model on each side."""
+        n = 101 + 2 * extra
+        model = make_layered_model(n, n, 10.0, 10.0, [1500.0])
+        dt = default_dt(model)
+        nt = int(round(1.4 / dt)) + 1
+        off = 10.0 * extra
+        receivers = [(off + 50.0 + 100.0 * i, off + 100.0) for i in range(10)]
+        rec, _ = forward_model(model, (off + 510.0, off + 500.0), ricker(15.0, dt, nt),
+                               receivers, dt, nt, store_wavefield=False)
+        return rec.traces
+
+    def test_boundary_reflection_below_5_percent(self):
+        # 120 more cells each side put the rim 1.2 km further out: its echo
+        # cannot reach a receiver within the record, so the difference is
+        # what the boundary of the default grid sends back.
+        traces, reference = self.shot_traces(0), self.shot_traces(120)
+        assert np.abs(traces - reference).max() / np.abs(reference).max() < 0.05
+
+
 @pytest.fixture(scope="session")
 def c_stencil():
     """The C kernels, from the loader every run uses; skips only with no C compiler."""
@@ -309,8 +348,9 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
     Receivers 0 and 1 lie in the same cell with different weights and
     receiver 2 sits exactly on receiver 0, so injection adds into shared
     cells and its order shows.  ``shape`` is the model's (nz, nx); the
-    fields are 64 cells larger each way.  ``noisy`` starts every interior
-    cell of the fields at a random value, so every cell is live from step 0.
+    fields are ``2 * prop.pad`` cells larger each way.  ``noisy`` starts
+    every interior cell of the fields at a random value, so every cell is
+    live from step 0.
     Both windows take ``first_frame = first``, by default ``nt // 3 + 1``,
     so the frames hold the steps from there on.  ``src_rows`` (top, bottom)
     puts the source's cells in those rows of the padded grid, halo rows
@@ -509,7 +549,8 @@ class TestBackendParity:
         baseline = _backend.Kernel(plain)
         assert baseline.isa == "default"
         # a 301 x 301 padded grid, all cells live
-        case = dict(nt=40, shape=(237, 237), noisy=True)
+        n = 301 - 2 * (solver.SPONGE_CELLS + solver.HALO)
+        case = dict(nt=40, shape=(n, n), noisy=True)
         bound, base = run_windows(c_stencil, **case), run_windows(baseline, **case)
         assert bound["forward.cur"].shape == (301, 301)
         for k in bound:
@@ -571,6 +612,10 @@ def assert_same_runs(impl, nt=150, cuts=None, dead=(), **case):
             np.testing.assert_array_equal(runs[0][k], other[k], err_msg=k)
 
 
+# Rows of window_case's padded grid: 0, 1 and ROWS - 2, ROWS - 1 are halo.
+ROWS = 20 + 2 * (solver.SPONGE_CELLS + solver.HALO)
+
+
 class TestTwoStepSweeps:
     """The C forward steps two at a time, the second lagging the first by the
     source cells' row span plus 3; every split of a run, every placement of
@@ -583,20 +628,22 @@ class TestTwoStepSweeps:
         assert_same_runs(c_stencil, nt=60, cuts=length_cuts(60, lengths), noisy=True)
 
     @pytest.mark.parametrize(
-        "src_rows", [(2, 3), (80, 81), (0, 1), (82, 83), (1, 2), (0, 83), (2, 81)],
+        "src_rows", [(2, 3), (ROWS - 4, ROWS - 3), (0, 1), (ROWS - 2, ROWS - 1), (1, 2),
+                     (0, ROWS - 1), (2, ROWS - 3)],
         ids=["first_interior", "last_interior", "top_halo", "bottom_halo", "halo_and_interior",
              "every_row", "every_interior_row"])
     def test_source_cells_anywhere(self, c_stencil, src_rows):
-        # The padded grid is 84 rows, 2 .. 81 interior.  The adjoint field
-        # stays zero in the halo, so source cells there read no q_star.
-        halo = all(r < 2 or r > 81 for r in src_rows)
+        # The padded grid is ROWS rows, 2 .. ROWS - 3 interior.  The adjoint
+        # field stays zero in the halo, so source cells there read no q_star.
+        halo = all(r < 2 or r > ROWS - 3 for r in src_rows)
         assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (7,)), src_rows=src_rows,
                          noisy=True, dead=("q_star",) if halo else ())
 
     def test_receivers_span_every_row(self, c_stencil):
         # receivers in every row, halo rows too, two to a cell pair
         assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (5,)),
-                         rec_rows=[*range(83), 0, 41, 82], src_rows=(0, 83), noisy=True,
+                         rec_rows=[*range(ROWS - 1), 0, ROWS // 2 - 1, ROWS - 2],
+                         src_rows=(0, ROWS - 1), noisy=True,
                          dead=("q_star",))
 
     @pytest.mark.parametrize("first", [0, 1, 2, 37, 38, 59, 60])
