@@ -8,13 +8,13 @@ records the traces; the adjoint window injects the data and records the
 source-cell series.  With ``--frames`` each window also does what a
 migrated shot adds: the forward stores the model interior (the grid less
 its ``PAD`` cells of sponge and halo each side) of every step from
-``first_frame = steps // 8`` on, as the solver stores the frames the image
-reads, and the adjoint correlates the same frames into an image.  Without
-it both windows get no frames, and ``first_frame`` 0.  ``--repeat N`` runs
-each backend's windows N times, the backends taking turns inside one
-process, and reports the median with its quartiles, so two backends, or
-two runs of one, are compared under the same conditions rather than
-across processes.
+``first_frame = steps // 8`` on, rounded to float32, as the solver stores
+the frames the image reads, and the adjoint correlates the same frames into
+an image.  Without it both windows get no frames, and ``first_frame`` 0.
+``--repeat N`` runs each backend's windows N times, the backends taking
+turns inside one process, and reports the median with its quartiles, so two
+backends, or two runs of one, are compared under the same conditions rather
+than across processes.
 
 It also reports each backend's fixed cost per window call: the median
 time of a zero-step window on a built plan over ``ZERO_STEP_CALLS`` calls,
@@ -86,12 +86,13 @@ def window_args(kind, n, steps, frames=False, seed=0):
     if kind == "forward":
         traces = np.zeros((steps, len(cols)))
         # written through once before timing, as a map worker's reused buffer is
-        fr = np.full((steps - first, side, side), 0.0) if frames else None
+        fr = np.full((steps - first, side, side), 0.0, dtype=np.float32) if frames else None
         return (head, dict(q=rng.standard_normal(steps), traces=traces, frames=fr, **where),
                 (traces,) + ((fr,) if frames else ()))
     q_star = np.zeros(steps)
     data = rng.standard_normal((steps, len(cols)))
-    fr = rng.standard_normal((steps - first, side, side)) * 1e-3 if frames else None
+    fr = (rng.standard_normal((steps - first, side, side), dtype=np.float32) * 1e-3
+          if frames else None)
     image = np.zeros((side, side)) if frames else None
     return (head, dict(data=data, q_star=q_star, frames=fr, image=image, **where),
             (q_star,) + ((image,) if frames else ()))

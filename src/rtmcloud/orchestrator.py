@@ -165,11 +165,11 @@ def add_point_scatterer(
 
 
 def frames_buffer(config: PipelineConfig) -> np.ndarray:
-    """An uninitialised array shaped for the source wavefield that
+    """An uninitialised float32 array shaped for the source wavefield that
     ``migrate_shot`` stores for any shot of ``config``."""
     model, _, _, dt, nt = build_survey(config)
     _, shape = frame_layout(model, ricker(config.wavelet.peak_frequency, dt, nt), nt)
-    return np.empty(shape)
+    return np.empty(shape, dtype=np.float32)
 
 
 def migrate_shot(config: PipelineConfig, shot_id: int, *,

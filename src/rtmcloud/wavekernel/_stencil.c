@@ -29,9 +29,11 @@
  * interleaved steps measured slower than one at the default grid.
  *
  * The stored wavefield holds the frames of the steps from first on (see
- * _stencil_py.Plan).  On x86-64 the forward writes them with non-temporal
- * stores, past the caches, which they would otherwise fill with lines read
- * back only by the adjoint, long after.
+ * _stencil_py.Plan), each rounded to float: the adjoint only reads them,
+ * widening each value back to double as it multiplies, and the fields, the
+ * traces and the image stay double.  On x86-64 the forward writes them with
+ * non-temporal stores, past the caches, which they would otherwise fill
+ * with lines read back only by the adjoint, long after.
  *
  * Plain C over raw pointers and sizes, called through ctypes.  Both windows
  * take one Plan, a propagation's arguments, which _stencil_py.Plan builds
@@ -132,44 +134,45 @@ INLINE void adjoint_row(double *restrict nxt, const double *restrict prv, const 
     }
 }
 
-INLINE void correlate_row(double *restrict image, const double *restrict frame,
+INLINE void correlate_row(double *restrict image, const float *restrict frame,
                           const double *restrict u, ptrdiff_t n)
 {
     for (ptrdiff_t k = 0; k < n; k++)
-        image[k] += frame[k] * u[k];
+        image[k] += (double)frame[k] * u[k];
 }
 
 #if defined(__SSE2__) && defined(__x86_64__)
 #include <emmintrin.h>
 
-INLINE void stream_one(double *dst, const double *src)
+INLINE void stream_one(float *dst, double src)
 {
-    long long bits;
-    memcpy(&bits, src, sizeof bits);
-    _mm_stream_si64((long long *)dst, bits);
+    float f = (float)src;
+    int bits;
+    memcpy(&bits, &f, sizeof bits);
+    _mm_stream_si32((int *)dst, bits);
 }
 
-/* Copy n doubles with non-temporal stores: 16-byte pairs, with one 8-byte
- * store ahead of them when dst is not 16-byte aligned and one after for an
- * odd count left. */
-INLINE void store_row(double *dst, const double *src, ptrdiff_t n)
+/* Round n doubles to float and store them with non-temporal stores: 16-byte
+ * groups of four, with 4-byte stores ahead of them until dst is 16-byte
+ * aligned and after them for the rest. */
+INLINE void store_row(float *dst, const double *src, ptrdiff_t n)
 {
     ptrdiff_t k = 0;
-    if (n > 0 && (uintptr_t)dst % 16) {
-        stream_one(dst, src);
-        k = 1;
-    }
-    for (; k + 2 <= n; k += 2)
-        _mm_stream_pd(dst + k, _mm_loadu_pd(src + k));
-    if (k < n)
-        stream_one(dst + k, src + k);
+    for (; k < n && (uintptr_t)(dst + k) % 16; k++)
+        stream_one(dst + k, src[k]);
+    for (; k + 4 <= n; k += 4)
+        _mm_stream_ps(dst + k, _mm_movelh_ps(_mm_cvtpd_ps(_mm_loadu_pd(src + k)),
+                                             _mm_cvtpd_ps(_mm_loadu_pd(src + k + 2))));
+    for (; k < n; k++)
+        stream_one(dst + k, src[k]);
 }
 /* Orders the non-temporal stores before the window returns. */
 #define STORE_FENCE() _mm_sfence()
 #else
-INLINE void store_row(double *dst, const double *src, ptrdiff_t n)
+INLINE void store_row(float *dst, const double *src, ptrdiff_t n)
 {
-    memcpy(dst, src, n * sizeof(double));
+    for (ptrdiff_t k = 0; k < n; k++)
+        dst[k] = (float)src[k];
 }
 #define STORE_FENCE() ((void)0)
 #endif
@@ -196,7 +199,8 @@ typedef struct {
     const double *rw;
     double *qs;                         /* source series: q, or the adjoint's q_star */
     double *tr;                         /* nt x nr: the forward's traces, or the adjoint's data */
-    double *fr, *img;                   /* the frames and the image */
+    float *fr;                          /* the frames, rounded to float */
+    double *img;                        /* the image */
     double *ring;                       /* seven rows of nx, zero when the plan is built */
 } Plan;
 

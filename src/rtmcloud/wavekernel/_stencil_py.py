@@ -15,10 +15,13 @@ per step in both directions, and ``plan.fields`` holds them in their roles
 after a window, so a propagation split into any windows steps exactly as
 one window over the whole range.
 
-The C forward advances two steps per pass over the rows, the second
-``lag`` rows behind the first, where ``lag`` is the source cells' row span
-plus 3, and writes the stored frames with non-temporal stores, past the
-caches; neither changes any value, so this module steps one at a time.
+The stored frames are float32, the only array that is not float64: the
+forward rounds each frame as it writes it, and the adjoint widens each
+value back to float64 as it multiplies it into the image.  The C forward
+advances two steps per pass over the rows, the second ``lag`` rows behind
+the first, where ``lag`` is the source cells' row span plus 3, and writes
+the stored frames with non-temporal stores, past the caches; neither
+changes any value, so this module steps one at a time.
 
 The step kernels make no temporaries: every ufunc writes through ``out=``
 into the plan's scratch planes, and the result goes into the interior of
@@ -36,7 +39,7 @@ import numpy as np
 _C0 = -2.5
 _C1 = 4.0 / 3.0
 _C2 = -1.0 / 12.0
-_FLOAT64, _INTP = np.dtype(np.float64), np.dtype(np.intp)
+_FLOAT64, _FLOAT32, _INTP = np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.intp)
 _N, _P = ctypes.c_ssize_t, ctypes.c_void_p
 
 
@@ -58,7 +61,8 @@ class Plan:
     ``q``, an adjoint one ``data``; the rest are its optional series.  The
     frames hold the steps the image reads, step ``n`` in row
     ``n - first_frame`` for ``n >= first_frame``, each the fz x fx interior
-    at (pad, pad), ``(fz, fx) = frames.shape[1:]``.  Building raises ValueError
+    at (pad, pad) rounded to float32, ``(fz, fx) = frames.shape[1:]``; every
+    other array is float64, the cell indices intp.  Building raises ValueError
     unless the arguments keep the contract for ``nt`` steps: every series
     has ``nt`` rows and the frames one for each step from ``first_frame`` on,
     which is clamped to ``nt``.  The plan keeps a reference to every array,
@@ -95,8 +99,9 @@ class Plan:
                 raise ValueError(f"{name}: a cell index lies outside the {ncells}-cell grid")
             return len(idx)
 
-        def series(a, name, ndim, written=False, cols=None, rows=nt):
-            if take(a, name, ndim, written).shape[0] < rows or (ndim == 2 and a.shape[1] != cols):
+        def series(a, name, ndim, written=False, cols=None, rows=nt, dtype=_FLOAT64):
+            a = take(a, name, ndim, written, dtype)
+            if a.shape[0] < rows or (ndim == 2 and a.shape[1] != cols):
                 raise ValueError(f"{name} must have at least {rows} rows"
                                  + (" and one column per receiver" if ndim == 2 else ""))
 
@@ -124,7 +129,7 @@ class Plan:
                 raise ValueError("frames and image go together")
         fz = fx = 0
         if frames is not None:
-            series(frames, "frames", 3, forward, rows=nt - first_frame)
+            series(frames, "frames", 3, forward, rows=nt - first_frame, dtype=_FLOAT32)
             fz, fx = frames.shape[1:]
             if image is not None and take(image, "image", 2, True).shape != (fz, fx):
                 raise ValueError("image must be shaped like one frame")
@@ -239,8 +244,8 @@ def forward_window(p, n0, n1):
 
     Step n injects ``src_w * q[n]`` at the source cells, then writes the
     receiver traces to ``traces[n]`` and, when ``n >= first_frame``, the
-    ``fz x fx`` interior at ``(pad, pad)`` to ``frames[n - first_frame]``;
-    either output may be None.
+    ``fz x fx`` interior at ``(pad, pad)``, rounded to float32 by the
+    assignment, to ``frames[n - first_frame]``; either output may be None.
     """
     for n in p.window(n0, n1):
         prv, cur, nxt = p.fields
@@ -259,9 +264,9 @@ def adjoint_window(p, n0, n1):
 
     Step n injects ``rec_w * data[n]`` at the receiver cells, then writes
     the source-cell sum to ``q_star[n]`` and, when ``n >= first_frame``,
-    adds ``frames[n - first_frame]`` times the interior at ``(pad, pad)``
-    to ``image``.  ``q_star`` (with the source cells) and ``frames`` with
-    ``image`` may be None.
+    adds ``frames[n - first_frame]``, widened to float64 by the multiply,
+    times the interior at ``(pad, pad)`` to ``image``.  ``q_star`` (with
+    the source cells) and ``frames`` with ``image`` may be None.
     """
     for n in reversed(p.window(n0, n1)):
         prv, cur, nxt = p.fields

@@ -22,9 +22,16 @@ steps, with a finiteness check between.
 
 The stored source wavefield has one layout for every caller: the interior
 frames of steps ``first_frame .. nt-1``, frame ``n`` in row
-``n - first_frame``, shaped ``(nt - first_frame, nz, nx)``.  ``first_frame``
-is the step after the source dies out (``frame_layout``); the imaging
-correlation skips the earlier steps, so their frames are never stored.
+``n - first_frame``, a float32 array shaped ``(nt - first_frame, nz, nx)``.
+``first_frame`` is the step after the source dies out (``frame_layout``);
+the imaging correlation skips the earlier steps, so their frames are never
+stored.  The frames are the one array stored in single precision, as the
+source paper's kernels store every wavefield: the imaging correlation only
+reads them, so rounding them halves the largest array of a shot and moves
+the default images by about 1e-8 in relative L2
+(``test_float32_frames_image_matches_float64_reference`` bounds it at
+1e-6).  The fields, the traces and the image stay float64, so the adjoint
+stays the exact transpose of the forward.
 """
 
 from __future__ import annotations
@@ -258,8 +265,9 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
     Injects the data with plain bilinear weights (transpose of extraction),
     optionally extracts the adjoint source series at ``source`` and/or
     accumulates the zero-lag correlation image against stored forward
-    ``frames``, which hold the steps from ``first_frame`` on; earlier steps
-    add nothing to the image (used to exclude the source's active window).
+    ``frames``, a float32 array of the steps from ``first_frame`` on;
+    earlier steps add nothing to the image (used to exclude the source's
+    active window).
     Returns (adjoint_source or None, image or None).
     """
     data = np.ascontiguousarray(data)
@@ -267,8 +275,6 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
     rec = prop.interp_cells(receivers)
     src = prop.source_cells(source) if source is not None else (None, None)
     q_star = np.zeros(nt) if source is not None else None
-    if frames is not None:
-        frames = np.ascontiguousarray(frames, dtype=np.float64)
     image = np.zeros((prop.model.nz, prop.model.nx)) if frames is not None else None
     # Without q_star, the steps before first_frame would only add skipped image terms.
     stop = 0 if q_star is not None or image is None else min(nt, first_frame)
@@ -318,12 +324,12 @@ def forward_model(
     The wavefield holds the interior frames of the steps the image reads,
     ``first_frame .. nt-1`` where ``first_frame`` is the step after the
     wavelet dies out: frame ``n`` is row ``n - first_frame`` of an
-    ``(nt - first_frame, nz, nx)`` array, which ``rtm_shot_image`` takes as
-    its ``frames``.  It is None when ``store_wavefield`` is false.
+    ``(nt - first_frame, nz, nx)`` float32 array, which ``rtm_shot_image``
+    takes as its ``frames``.  It is None when ``store_wavefield`` is false.
 
     Each call allocates a fresh array, so the wavefields of two calls never
     alias, unless ``frames_out`` is given: the frames are then written into
-    that array, which must be a writable C-contiguous float64 array of the
+    that array, which must be a writable C-contiguous float32 array of the
     shape above, and it is returned.  A caller that runs many shots keeps
     one such array and so allocates it once.
     """
@@ -332,13 +338,14 @@ def forward_model(
     first, shape = frame_layout(model, wavelet, nt)
     if frames_out is not None:
         if not (store_wavefield and isinstance(frames_out, np.ndarray)
-                and frames_out.shape == shape and frames_out.dtype == np.float64
+                and frames_out.shape == shape and frames_out.dtype == np.float32
                 and frames_out.flags.c_contiguous and frames_out.flags.writeable):
-            raise ValueError(f"frames_out must be a writable C-contiguous float64 array "
+            raise ValueError(f"frames_out must be a writable C-contiguous float32 array "
                              f"shaped {shape}, with store_wavefield true")
         frames = frames_out
     else:
-        frames = np.empty(shape) if store_wavefield else None  # the window writes every row
+        # the window writes every row
+        frames = np.empty(shape, dtype=np.float32) if store_wavefield else None
     prop = _Propagator(model, dt)
     traces = _run_forward(prop, source, wavelet.samples, receivers, nt, frames, first)
     return ShotRecord(shot_id, tuple(receivers), dt, nt, traces), frames
@@ -358,8 +365,9 @@ def rtm_shot_image(
     the sharp injection footprint at the shot location out of the image.
 
     ``frames`` is the stored source wavefield that ``forward_model`` returns
-    for this model, plan and wavelet, shaped
-    ``(observed.nt - first_frame, model.nz, model.nx)``.  Passing it saves
+    for this model, plan and wavelet: a C-contiguous float32 array shaped
+    ``(observed.nt - first_frame, model.nz, model.nx)``, used as it is, never
+    copied; any other dtype raises ValueError.  Passing it saves
     the forward propagation that would otherwise recompute the same frames;
     the image is the same either way.  When the wavelet is active up to the
     last step, ``first_frame`` is ``observed.nt``: no frame is stored and the
@@ -372,9 +380,11 @@ def rtm_shot_image(
     first, shape = frame_layout(model, wavelet, observed.nt)
     if frames is not None and frames.shape != shape:
         raise ValueError(f"frames shape {frames.shape} != {shape} (nt - first_frame, nz, nx)")
+    if frames is not None and frames.dtype != np.float32:
+        raise ValueError(f"frames dtype {frames.dtype} != float32, the stored wavefield's")
     prop = _Propagator(model, observed.dt)
     if frames is None:
-        frames = np.empty(shape)
+        frames = np.empty(shape, dtype=np.float32)
         _run_forward(prop, plan.source, wavelet.samples, plan.receivers, observed.nt, frames,
                      first)
     _, image = _run_adjoint(prop, plan.receivers, observed.traces, frames=frames,

@@ -493,20 +493,31 @@ class TestMigrateShot:
             np.testing.assert_array_equal(image, fresh[shot], err_msg=f"shot {shot}")
 
 
+def test_default_frames_buffer_is_float32():
+    # the largest array of a map worker: 16.4 MB at the default config (32.7 MB as float64)
+    cfg = PipelineConfig()
+    model, _, _, dt, nt = orchestrator.build_survey(cfg)
+    first, _ = solver.frame_layout(model, ricker(cfg.wavelet.peak_frequency, dt, nt), nt)
+    buf = orchestrator.frames_buffer(cfg)
+    assert buf.dtype == np.float32
+    assert buf.nbytes == (nt - first) * model.nz * model.nx * 4 == 16_362_404
+
+
 # sha256 of the default config's leaf blobs, migrate_shot(PipelineConfig(), shot)
 # stored with leaf_count=1, by shot.  Both backends give these bits.  They pin
 # the images of the 20-cell sponge at coefficient 0.1 (solver.SPONGE_CELLS,
-# SPONGE_COEFF); a change to the boundary changes every image, so it changes
-# these digests on purpose.
+# SPONGE_COEFF), correlated against float32 frames; a change to the boundary
+# or to the frames' precision changes every image, so it changes these
+# digests on purpose.
 DEFAULT_LEAF_SHA256 = (
-    "8c47647d029fc998bf4c817ff9cc08745715e4b50b74680d8ea763fbdeb11287",
-    "24096ac631da7e3863a41d85fbd1c464ac8d2e20a82bea9bbdd8af4e5c0ec2ef",
-    "21a6276abe040b3b8ec2bf2e51aaa8910b5cf1ff3a734a7d64e11adbe40046d3",
-    "49c8fee34729b1a4688c1554f0c57f17da714492a56bc2a70d9361591f993f75",
-    "f0a57fce0bcdebc9e0180e0f397a5e83900484f197fb652a16d734e53a0c6a5a",
-    "272d899f0b384343377bf1adccba2309c5ff7135a20e5c3643d2100774135fcd",
-    "02ada5eff2474ef2fa5ed0d4ae51d1ecaa5a634d3040e1424e0c56de69d57cab",
-    "6743410dca8fabb73742e918a97f69a83002d201595f1d6c465da45110c362a9",
+    "6796a14f77a8f75285f05b495b2533dd96d1df761ab0d449fe7ec35a85c4f16a",
+    "daa8f6992b1a8b00033496a3e1c40925c9150da946451bc57e88153989629385",
+    "e25ba7894b1ade49d12b54f78dc9ef437184833c602f605161dd9d92e36cac22",
+    "4ca619751d205f9d6b40c634c64823db48ae7da76c94b9d12c3e5203b6c497e5",
+    "14a98999ddb9d441cbf1d6d751f1ecee66dbc94503e5abfedbb9de35fd6cc568",
+    "c4dd0d685d7a4d88b0a4824d51e66fac074e2c2ad2d043f03c508e806ba9921f",
+    "fd674fd9e4801384dc04d3b46b5e99ff2ac4b5a4488c353d480ca8e1761285cd",
+    "e875b498a8a2167c52e417d248b7eb163ea1ece1207eb08f369525c41bb89d71",
 )
 
 

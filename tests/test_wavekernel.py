@@ -145,7 +145,7 @@ class TestForwardModel:
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
         _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
         first, _ = solver.frame_layout(model, wavelet, nt)
-        every = np.empty((nt, model.nz, model.nx))
+        every = np.empty((nt, model.nz, model.nx), dtype=np.float32)
         solver._run_forward(solver._Propagator(model, dt), source, wavelet.samples, receivers,
                             nt, every, 0)
         assert np.abs(frames).max() > 0
@@ -167,13 +167,13 @@ class TestForwardModel:
         assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("bad", [
-        lambda f: np.empty((f.shape[0] + 1, *f.shape[1:])),
-        lambda f: np.empty((f.shape[0], f.shape[1] - 1, f.shape[2])),
-        lambda f: np.empty(f.shape, dtype=np.float32),
-        lambda f: np.empty((f.shape[0], f.shape[1], 2 * f.shape[2]))[:, :, ::2],
-        lambda f: np.broadcast_to(np.empty(f.shape[1:]), f.shape),
-        lambda f: np.empty(f.shape).tolist(),
-    ], ids=["rows", "nz", "float32", "non_contiguous", "read_only", "not_an_array"])
+        lambda f: np.empty((f.shape[0] + 1, *f.shape[1:]), dtype=np.float32),
+        lambda f: np.empty((f.shape[0], f.shape[1] - 1, f.shape[2]), dtype=np.float32),
+        lambda f: np.empty(f.shape, dtype=np.float64),
+        lambda f: np.empty((*f.shape[:2], 2 * f.shape[2]), dtype=np.float32)[:, :, ::2],
+        lambda f: np.broadcast_to(np.empty(f.shape[1:], dtype=np.float32), f.shape),
+        lambda f: np.empty(f.shape, dtype=np.float32).tolist(),
+    ], ids=["rows", "nz", "float64", "non_contiguous", "read_only", "not_an_array"])
     def test_bad_frames_out_rejected(self, monkeypatch, bad):
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
         _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
@@ -253,6 +253,53 @@ class TestRtmShotImage:
         monkeypatch.setattr(solver, "impl", None)
         with pytest.raises(ValueError, match="frames shape"):
             rtm_shot_image(model, plan, rec, wavelet, frames=np.zeros(shape))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_frames_of_another_dtype_rejected(self, monkeypatch, dtype):
+        # never converted: a copy would be a second wavefield-sized buffer
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        plan = ShotGatherPlan(0, source, receivers)
+        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        monkeypatch.setattr(solver, "impl", None)
+        with pytest.raises(ValueError, match=f"frames dtype {np.dtype(dtype).name}"):
+            rtm_shot_image(model, plan, rec, wavelet, frames=frames.astype(dtype))
+
+    def test_float32_frames_image_matches_float64_reference(self):
+        # The reference steps one window per step and correlates float64
+        # copies of each forward frame with each adjoint field, in the
+        # kernels' order: it differs from the image only by the frames'
+        # rounding to float32.
+        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.6)
+        v = model.v.copy()
+        v[28:33, 28:33] *= 1.1
+        true_model = dataclasses.replace(model, v=v)
+        plan = ShotGatherPlan(0, source, receivers)
+        rec_true, _ = forward_model(true_model, source, wavelet, receivers, dt, nt,
+                                    store_wavefield=False)
+        rec_bg, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
+        image = rtm_shot_image(model, plan, observed, wavelet).values
+
+        first, shape = solver.frame_layout(model, wavelet, nt)
+        prop = solver._Propagator(model, dt)
+        fwd = _stencil_py.Plan(nt, prop.fields(), prop.coefficients, prop.source_cells(source),
+                               prop.interp_cells(receivers), q=wavelet.samples, pad=prop.pad)
+        interior = np.s_[prop.pad : prop.pad + model.nz, prop.pad : prop.pad + model.nx]
+        ref_frames = np.empty(shape)
+        for n in range(nt):
+            solver.impl.forward_window(fwd, n, n + 1)
+            if n >= first:
+                ref_frames[n - first] = fwd.fields[1][interior]  # step n's field
+        adj = _stencil_py.Plan(nt, prop.fields(), prop.coefficients, (None, None),
+                               prop.interp_cells(receivers), data=observed.traces)
+        ref = np.zeros((model.nz, model.nx))
+        for n in reversed(range(first, nt)):
+            solver.impl.adjoint_window(adj, n, n + 1)
+            ref += ref_frames[n - first] * adj.fields[1][interior]
+
+        assert np.abs(ref).max() > 0
+        assert np.linalg.norm(image - ref) <= 1e-6 * np.linalg.norm(ref)
+        np.testing.assert_array_equal(frames, ref_frames.astype(np.float32))
 
     def test_source_active_to_the_last_step_gives_zero_image(self):
         # first_frame == nt: no frame is stored and nothing is correlated
@@ -383,10 +430,11 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
                   rec_w=rec_w, first_frame=first, pad=prop.pad)
     forward = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
-                   frames=np.zeros((nt - first, model.nz, model.nx)))
+                   frames=np.zeros((nt - first, model.nz, model.nx), dtype=np.float32))
     adjoint = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
-                   frames=rng.standard_normal((nt - first, model.nz, model.nx)),
+                   frames=rng.standard_normal((nt - first, model.nz, model.nx),
+                                              dtype=np.float32),
                    image=np.zeros((model.nz, model.nx)))
     if noisy:
         for f in (forward["prv"], forward["cur"], adjoint["prv"], adjoint["cur"]):
