@@ -5,9 +5,10 @@ Runs ``rtmbench/run.py --workload W --seed S`` ten times in the checkout at
 ``--parent`` and ten times in this checkout (the change), each run as long as
 BENCHMARK.json's run_seconds, alternating which side runs first, then
 prints each end-to-end metric of BENCHMARK.json per side as median [q1, q3]
-and the number of pairs the change won.  ``--json`` appends one entry per
-side (commit, src tree, backend, nproc, repetitions, median and quartiles) to
-BENCH_<workload>.json at the repository root.
+and the number of pairs the change won.  A failed run prints, and its side's
+entry keeps, the errors its summary lists.  ``--json`` appends one entry per
+side (commit, src tree, backend, nproc, repetitions, errors, median and
+quartiles) to BENCH_<workload>.json at the repository root.
 
 Usage: python benchmarks/bench_pairs.py --parent DIR --workload pipeline_default
                                         [--seed 1] [--json]
@@ -63,8 +64,18 @@ def entry(side: str, checkout: Path, runs: list[dict], spec: dict) -> dict:
         "correct": all(r["correct"] for r in runs),
         "attempted": sum(r["attempted"] for r in runs),
         "failed": sum(r["failed"] for r in runs),
+        "errors": [e for r in runs for e in r["errors"]],
         "metrics": metrics,
     }
+
+
+def pair_report(i: int, runs: dict) -> str:
+    """What pair ``i`` (from 0) did: each side ok or FAILED, with the errors
+    of a failed run's summary."""
+    lines = [f"pair {i + 1}/{PAIRS}: " + ", ".join(
+        f"{s} {'ok' if runs[s][-1]['correct'] else 'FAILED'}" for s in runs)]
+    lines += [f"  {s} error: {e}" for s in runs for e in runs[s][-1]["errors"]]
+    return "\n".join(lines)
 
 
 def main():
@@ -81,8 +92,7 @@ def main():
     for i in range(PAIRS):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(sides[side], args.workload, args.seed))
-        print(f"pair {i + 1}/{PAIRS}: " + ", ".join(
-            f"{s} {'ok' if runs[s][-1]['correct'] else 'FAILED'}" for s in runs), flush=True)
+        print(pair_report(i, runs), flush=True)
 
     entries = {side: entry(side, sides[side], runs[side], spec) for side in runs}
     for m in spec["end_to_end"]:

@@ -98,6 +98,16 @@ class PipelineConfig:
     pricing: PricingConfig = field(default_factory=PricingConfig)
     report: ReportConfig = field(default_factory=ReportConfig)
 
+    def __post_init__(self):
+        # 0 workers would wait out the deadline, a zero visibility or deadline
+        # would fail only after the map phase, a zero poll would spin
+        for dotted in ("map.workers", "queue.visibility_seconds", "reduce.deadline",
+                       "reduce.poll_interval"):
+            section, name = dotted.split(".")
+            value = getattr(getattr(self, section), name)
+            if not value > 0:
+                raise ValueError(f"config key {dotted} must be > 0, not {value!r}")
+
     def store_root(self) -> Path:
         return Path(self.store.root) if self.store.root else Path(self.out_dir) / "store"
 
@@ -110,7 +120,8 @@ class PipelineConfig:
 
 def _from_dict(cls, data: dict, prefix: str = ""):
     """``cls`` from its JSON section; ValueError naming the dotted key of any
-    unknown key, non-object section or leaf not of its annotated type."""
+    unknown key, non-object section, leaf not of its annotated type or value
+    out of its range."""
     if not isinstance(data, dict):
         where = f"section {prefix[:-1]}" if prefix else "document"
         raise ValueError(f"config {where} must be a JSON object, not {data!r}")

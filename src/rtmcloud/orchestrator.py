@@ -55,11 +55,11 @@ from .wavekernel import (
     backend_isa,
     backend_name,
     backend_reason,
+    default_dt,
     forward_model,
     frame_layout,
     ricker,
     rtm_shot_image,
-    stable_dt,
 )
 
 _FORK = mp.get_context("fork")
@@ -131,7 +131,7 @@ def build_survey(config: PipelineConfig):
     )
     dt = config.survey.dt_record
     if dt is None:
-        dt = 0.8 * min(stable_dt(model), stable_dt(true_model))
+        dt = min(default_dt(model), default_dt(true_model))
     geometry = make_random_obn_geometry(
         model,
         config.survey.n_receivers,
@@ -173,26 +173,21 @@ def frames_buffer(config: PipelineConfig) -> np.ndarray:
 
 
 def migrate_shot(config: PipelineConfig, shot_id: int, *,
-                 frames_out: np.ndarray | None = None) -> ImageGrid:
+                 frames: np.ndarray | None = None) -> ImageGrid:
     """Model synthetic data for one shot and migrate it (one map job).
 
-    The source wavefield goes into ``frames_out``, a ``frames_buffer(config)``
-    array, when given, and into a fresh array otherwise.  A caller that runs
-    many shots passes one buffer to all of them; callers running at once
-    need a buffer each.
+    The source wavefield goes into ``frames``, a ``frames_buffer(config)``
+    array, allocated here when not given.  A caller that runs many shots
+    passes one buffer to all of them; callers running at once need one each.
     """
     model, true_model, plans, dt, nt = build_survey(config)
     plan = plans[shot_id]
     wavelet = ricker(config.wavelet.peak_frequency, dt, nt)
-    rec_true, _ = forward_model(
-        true_model, plan.source, wavelet, plan.receivers, dt, nt,
-        shot_id=shot_id, store_wavefield=False,
-    )
-    # The background run also stores the source wavefield the image needs.
-    rec_bg, frames = forward_model(
-        model, plan.source, wavelet, plan.receivers, dt, nt, shot_id=shot_id,
-        frames_out=frames_out,
-    )
+    if frames is None:  # frames_buffer(config)'s array, from the survey built above
+        frames = np.empty(frame_layout(model, wavelet, nt)[1], dtype=np.float32)
+    rec_true = forward_model(true_model, plan.source, wavelet, plan.receivers, dt, nt, shot_id)
+    rec_bg = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, shot_id,
+                           frames=frames)  # the background run stores the source wavefield
     observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
     return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
 
@@ -224,7 +219,7 @@ def _map_worker(config: PipelineConfig, conn, done_dir: Path, inherited) -> None
         for shot_id, attempt in iter(conn.recv, None):
             try:
                 start = time.time()
-                image = migrate_shot(config, shot_id, frames_out=frames)
+                image = migrate_shot(config, shot_id, frames=frames)
                 blob_id = store.put_image(image.to_blob(leaf_count=1))
                 queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
                 end = time.time()

@@ -20,9 +20,10 @@ Here each propagation is set up as one checked ``Plan``; its time loop runs
 in the kernels' windows on that plan, one call per ``_FINITE_CHECK_EVERY``
 steps, with a finiteness check between.
 
-The stored source wavefield has one layout for every caller: the interior
-frames of steps ``first_frame .. nt-1``, frame ``n`` in row
-``n - first_frame``, a float32 array shaped ``(nt - first_frame, nz, nx)``.
+The stored source wavefield lives in the caller's buffer, which
+``forward_model`` fills and ``rtm_shot_image`` reads: the interior frames of
+steps ``first_frame .. nt-1``, frame ``n`` in row ``n - first_frame``, a
+float32 array shaped ``(nt - first_frame, nz, nx)``.
 ``first_frame`` is the step after the source dies out (``frame_layout``);
 the imaging correlation skips the earlier steps, so their frames are never
 stored.  The frames are the one array stored in single precision, as the
@@ -109,8 +110,10 @@ class ShotRecord:
 
     def to_blob(self) -> ImageBlob:
         # Trace panel rides in the grid payload: rows = time, cols = receivers.
+        # Row n holds the field at (n + 1) * dt: the step injects q[n], then
+        # samples the field it made, so the time origin is dt.
         return ImageBlob(
-            KIND_SHOTREC, self.nt, len(self.receivers), self.dt, 0.0, 0.0, 0.0, 1, self.traces
+            KIND_SHOTREC, self.nt, len(self.receivers), self.dt, 0.0, self.dt, 0.0, 1, self.traces
         )
 
 
@@ -264,10 +267,8 @@ def _run_adjoint(prop, receivers, data, source=None, frames=None, first_frame=0)
 
     Injects the data with plain bilinear weights (transpose of extraction),
     optionally extracts the adjoint source series at ``source`` and/or
-    accumulates the zero-lag correlation image against stored forward
-    ``frames``, a float32 array of the steps from ``first_frame`` on;
-    earlier steps add nothing to the image (used to exclude the source's
-    active window).
+    accumulates the zero-lag correlation image against the stored ``frames``
+    of the steps from ``first_frame`` on.
     Returns (adjoint_source or None, image or None).
     """
     data = np.ascontiguousarray(data)
@@ -300,11 +301,18 @@ def _source_active_until(samples: np.ndarray, nt: int) -> int:
 
 
 def frame_layout(model: VelocityModel2D, wavelet: Wavelet, nt: int) -> tuple[int, tuple]:
-    """(first_frame, shape) of the source wavefield stored for ``model``,
-    ``wavelet`` and ``nt`` steps: the frames of steps ``first_frame .. nt-1``,
-    the ones the image reads, shaped ``(nt - first_frame, nz, nx)``."""
+    """(first_frame, shape) of the stored source wavefield, as the module
+    docstring lays it out, for ``model``, ``wavelet`` and ``nt`` steps."""
     first = _source_active_until(wavelet.samples, nt) + 1
     return first, (nt - first, model.nz, model.nx)
+
+
+def _first_frame(model: VelocityModel2D, wavelet: Wavelet, nt: int, frames) -> int:
+    """``frame_layout``'s first frame; ValueError unless ``frames`` has its shape."""
+    first, shape = frame_layout(model, wavelet, nt)
+    if np.shape(frames) != shape:
+        raise ValueError(f"frames shape {np.shape(frames)} != {shape} (nt - first_frame, nz, nx)")
+    return first
 
 
 def forward_model(
@@ -315,40 +323,18 @@ def forward_model(
     dt: float,
     nt: int,
     shot_id: int = 0,
-    store_wavefield: bool = True,
     *,
-    frames_out: np.ndarray | None = None,
-) -> tuple[ShotRecord, np.ndarray | None]:
-    """Model one shot; returns receiver traces and the stored source wavefield.
-
-    The wavefield holds the interior frames of the steps the image reads,
-    ``first_frame .. nt-1`` where ``first_frame`` is the step after the
-    wavelet dies out: frame ``n`` is row ``n - first_frame`` of an
-    ``(nt - first_frame, nz, nx)`` float32 array, which ``rtm_shot_image``
-    takes as its ``frames``.  It is None when ``store_wavefield`` is false.
-
-    Each call allocates a fresh array, so the wavefields of two calls never
-    alias, unless ``frames_out`` is given: the frames are then written into
-    that array, which must be a writable C-contiguous float32 array of the
-    shape above, and it is returned.  A caller that runs many shots keeps
-    one such array and so allocates it once.
-    """
+    frames: np.ndarray | None = None,
+) -> ShotRecord:
+    """Model one shot; returns its receiver traces.  Given ``frames``, the
+    caller's buffer shaped ``frame_layout(model, wavelet, nt)[1]``, it also
+    writes there the stored source wavefield that ``rtm_shot_image`` reads."""
     if abs(wavelet.dt - dt) > 1e-15:
         raise ValueError(f"wavelet dt {wavelet.dt:g} != simulation dt {dt:g}")
-    first, shape = frame_layout(model, wavelet, nt)
-    if frames_out is not None:
-        if not (store_wavefield and isinstance(frames_out, np.ndarray)
-                and frames_out.shape == shape and frames_out.dtype == np.float32
-                and frames_out.flags.c_contiguous and frames_out.flags.writeable):
-            raise ValueError(f"frames_out must be a writable C-contiguous float32 array "
-                             f"shaped {shape}, with store_wavefield true")
-        frames = frames_out
-    else:
-        # the window writes every row
-        frames = np.empty(shape, dtype=np.float32) if store_wavefield else None
+    first = 0 if frames is None else _first_frame(model, wavelet, nt, frames)
     prop = _Propagator(model, dt)
     traces = _run_forward(prop, source, wavelet.samples, receivers, nt, frames, first)
-    return ShotRecord(shot_id, tuple(receivers), dt, nt, traces), frames
+    return ShotRecord(shot_id, tuple(receivers), dt, nt, traces)
 
 
 def rtm_shot_image(
@@ -357,36 +343,23 @@ def rtm_shot_image(
     observed: ShotRecord,
     wavelet: Wavelet,
     *,
-    frames: np.ndarray | None = None,
+    frames: np.ndarray,
 ) -> ImageGrid:
     """Migrate one shot: zero-lag cross-correlation of source and adjoint fields.
 
     Correlation starts once the source signature has died out, which keeps
     the sharp injection footprint at the shot location out of the image.
 
-    ``frames`` is the stored source wavefield that ``forward_model`` returns
-    for this model, plan and wavelet: a C-contiguous float32 array shaped
-    ``(observed.nt - first_frame, model.nz, model.nx)``, used as it is, never
-    copied; any other dtype raises ValueError.  Passing it saves
-    the forward propagation that would otherwise recompute the same frames;
-    the image is the same either way.  When the wavelet is active up to the
-    last step, ``first_frame`` is ``observed.nt``: no frame is stored and the
-    image is zero.
+    ``frames`` is the caller's buffer that ``forward_model`` filled for this
+    model, plan and wavelet, read as it is, never copied.  When the wavelet
+    is active up to the last step, it has no row and the image is zero.
     """
     if tuple(observed.receivers) != tuple(plan.receivers):
         raise ValueError("observed record receivers do not match the shot plan")
     if abs(wavelet.dt - observed.dt) > 1e-15:
         raise ValueError("wavelet dt does not match the observed record dt")
-    first, shape = frame_layout(model, wavelet, observed.nt)
-    if frames is not None and frames.shape != shape:
-        raise ValueError(f"frames shape {frames.shape} != {shape} (nt - first_frame, nz, nx)")
-    if frames is not None and frames.dtype != np.float32:
-        raise ValueError(f"frames dtype {frames.dtype} != float32, the stored wavefield's")
+    first = _first_frame(model, wavelet, observed.nt, frames)
     prop = _Propagator(model, observed.dt)
-    if frames is None:
-        frames = np.empty(shape, dtype=np.float32)
-        _run_forward(prop, plan.source, wavelet.samples, plan.receivers, observed.nt, frames,
-                     first)
     _, image = _run_adjoint(prop, plan.receivers, observed.traces, frames=frames,
                             first_frame=first)
     return ImageGrid(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, image)

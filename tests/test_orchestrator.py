@@ -85,6 +85,29 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             config_from_dict(data)
 
+    @pytest.mark.parametrize("key, value", [
+        ("map.workers", 0),
+        ("queue.visibility_seconds", 0.0),
+        ("reduce.deadline", 0.0),
+        ("reduce.poll_interval", 0.0),
+        ("reduce.poll_interval", -0.05),
+    ])
+    def test_value_out_of_range_refused_before_any_work(self, tmp_path, monkeypatch, capsys,
+                                                        key, value):
+        section, leaf = key.split(".")
+        with pytest.raises(ValueError, match=rf"^config key {key} must be > 0"):
+            config_from_dict({section: {leaf: value}})
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+        out = tmp_path / "out"
+        assert main(["run", f"--{key}", str(value), "--out_dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config key {key} must be > 0")
+        assert not out.exists()
+        cfg = PipelineConfig()  # a config built in code never reaches run_pipeline either
+        with pytest.raises(ValueError, match=rf"^config key {key} must be > 0"):
+            dataclasses.replace(cfg, **{section: dataclasses.replace(getattr(cfg, section),
+                                                                    **{leaf: value})})
+
     def test_json_values_of_leaf_types_accepted(self):
         cfg = config_from_dict({"model": {"dz": 5, "layer_velocities": [1500, 2000.0]},
                                 "survey": {"dt_record": None}})
@@ -438,13 +461,13 @@ def shot_runs(tmp_path_factory):
     wavelet = ricker(cfg.wavelet.peak_frequency, dt, nt)
 
     def four_propagations():
-        records = [
-            forward_model(m, plan.source, wavelet, plan.receivers, dt, nt, shot_id=1,
-                          store_wavefield=False)[0]
-            for m in (true_model, model)
-        ]
+        records = [forward_model(m, plan.source, wavelet, plan.receivers, dt, nt, shot_id=1)
+                   for m in (true_model, model)]
         observed = dataclasses.replace(records[0], traces=records[0].traces - records[1].traces)
-        return rtm_shot_image(model, plan, observed, wavelet)
+        # the background again, this time storing the source wavefield
+        frames = orchestrator.frames_buffer(cfg)
+        forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, frames=frames)
+        return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
 
     runs = {}
     for name, run in (("migrate_shot", lambda: orchestrator.migrate_shot(cfg, 1)),
@@ -488,7 +511,7 @@ class TestMigrateShot:
         buf = orchestrator.frames_buffer(cfg)
         buf.fill(np.nan)  # a row the forward window misses would poison the image
         for shot in [*range(8), 3, 0]:
-            image = orchestrator.migrate_shot(cfg, shot, frames_out=buf).values
+            image = orchestrator.migrate_shot(cfg, shot, frames=buf).values
             assert np.abs(image).max() > 0
             np.testing.assert_array_equal(image, fresh[shot], err_msg=f"shot {shot}")
 
@@ -547,12 +570,13 @@ class TestStackLinearity:
         wavelet = ricker(cfg.wavelet.peak_frequency, dt, nt)
         stack1 = np.zeros((model.nz, model.nx))
         stack2 = np.zeros((model.nz, model.nx))
+        frames, frames2 = orchestrator.frames_buffer(cfg), orchestrator.frames_buffer(cfg)
         for plan in plans:
-            rec, _ = forward_model(
-                model, plan.source, wavelet, plan.receivers, dt, nt, store_wavefield=False
-            )
-            stack1 += rtm_shot_image(model, plan, rec, wavelet).values
-            stack2 += rtm_shot_image(model, plan, rec, wavelet.scaled(2.0)).values
+            rec = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, frames=frames)
+            forward_model(model, plan.source, wavelet.scaled(2.0), plan.receivers, dt, nt,
+                          frames=frames2)
+            stack1 += rtm_shot_image(model, plan, rec, wavelet, frames=frames).values
+            stack2 += rtm_shot_image(model, plan, rec, wavelet.scaled(2.0), frames=frames2).values
         assert rel_diff(stack2, 2.0 * stack1) < 1e-10
 
 

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -42,3 +43,33 @@ def test_dirty_entry_names_the_src_tree_that_lands(tmp_path):
 
 def test_not_a_checkout(tmp_path):
     assert commit(tmp_path) == {"commit": "unknown (not a git checkout)", "src_tree": None}
+
+
+def test_failed_run_errors_are_printed_and_kept(tmp_path, monkeypatch):
+    import bench_pairs
+    import trajectory
+
+    spec = json.loads((trajectory.ROOT / "BENCHMARK.json").read_text())
+
+    def summary(errors=()):
+        values = {} if errors else {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+        return {"workload": "w", "seed": 1, "correct": not errors, "attempted": 1,
+                "failed": int(bool(errors)), "repetitions": 1, "metrics": values,
+                "env": {"backend": "c", "nproc": 2}, "errors": list(errors)}
+
+    runs = {"parent": [summary()], "change": [summary(["exit 1: checks failed"])]}
+    assert bench_pairs.pair_report(0, runs).splitlines() == [
+        f"pair 1/{bench_pairs.PAIRS}: parent ok, change FAILED",
+        "  change error: exit 1: checks failed",
+    ]
+    change = bench_pairs.entry("change", tmp_path, [summary(), *runs["change"], summary()], spec)
+    assert change["errors"] == ["exit 1: checks failed"]
+    assert bench_pairs.entry("parent", tmp_path, [summary()] * 3, spec)["errors"] == []
+
+    # the committed entries, which have no errors, still load and append
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    for path in Path(__file__).resolve().parents[1].glob("BENCH_*.json"):
+        old = json.loads(path.read_text())
+        (tmp_path / path.name).write_text(path.read_text())
+        trajectory.append_entry(path.name, change)
+        assert json.loads((tmp_path / path.name).read_text()) == [*old, change]

@@ -47,6 +47,11 @@ class TestRicker:
             ricker(15.0, 0.002, 30)  # 0.06 s < 2/15 s
 
 
+def frames_for(model, wavelet, nt):
+    """A buffer for the source wavefield ``forward_model`` stores."""
+    return np.empty(solver.frame_layout(model, wavelet, nt)[1], dtype=np.float32)
+
+
 def small_setup(nz=61, nx=61, v=1500.0, record_time=0.8):
     model = make_layered_model(nz, nx, 10.0, 10.0, [v])
     dt = default_dt(model)
@@ -61,15 +66,13 @@ class TestForwardModel:
     def test_zero_wavelet_gives_zero_traces(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
         silent = dataclasses.replace(wavelet, samples=np.zeros_like(wavelet.samples))
-        rec, _ = forward_model(model, source, silent, receivers, dt, nt, store_wavefield=False)
+        rec = forward_model(model, source, silent, receivers, dt, nt)
         assert (rec.traces == 0).all()
 
     def test_doubling_amplitude_doubles_traces_exactly(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
-        rec1, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
-        rec2, _ = forward_model(
-            model, source, wavelet.scaled(2.0), receivers, dt, nt, store_wavefield=False
-        )
+        rec1 = forward_model(model, source, wavelet, receivers, dt, nt)
+        rec2 = forward_model(model, source, wavelet.scaled(2.0), receivers, dt, nt)
         np.testing.assert_array_equal(rec2.traces, 2.0 * rec1.traces)
 
     def test_first_arrival_time(self):
@@ -81,7 +84,7 @@ class TestForwardModel:
         wavelet = ricker(15.0, dt, nt)
         source = (250.0, 600.0)
         receivers = ((850.0, 600.0),)
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt)
         trace = np.abs(rec.traces[:, 0])
         first = np.nonzero(trace > 0.01 * trace.max())[0][0] * dt
         period = 1.0 / 15.0
@@ -107,22 +110,24 @@ class TestForwardModel:
         nt = 4000
         wavelet = ricker(15.0, dt, nt)
         with pytest.raises(NumericalBlowupError):
-            forward_model(model, (300.0, 300.0), wavelet, ((100.0, 100.0),), dt, nt,
-                          store_wavefield=False)
+            forward_model(model, (300.0, 300.0), wavelet, ((100.0, 100.0),), dt, nt)
 
     def test_stable_for_2000_steps(self):
         model = make_layered_model(61, 61, 10. , 10.0, [1500.0])
         dt = default_dt(model)
         nt = 2000
         wavelet = ricker(15.0, dt, nt)
-        rec, frames = forward_model(model, (300.0, 120.0), wavelet, ((100.0, 100.0),), dt, nt)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, (300.0, 120.0), wavelet, ((100.0, 100.0),), dt, nt,
+                            frames=frames)
         assert np.isfinite(rec.traces).all()
         assert np.abs(frames).max() < 1e6
 
     def test_bitwise_deterministic(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
-        rec1, frames1 = forward_model(model, source, wavelet, receivers, dt, nt)
-        rec2, frames2 = forward_model(model, source, wavelet, receivers, dt, nt)
+        frames1, frames2 = frames_for(model, wavelet, nt), frames_for(model, wavelet, nt)
+        rec1 = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames1)
+        rec2 = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames2)
         np.testing.assert_array_equal(rec1.traces, rec2.traces)
         np.testing.assert_array_equal(frames1, frames2)
 
@@ -134,16 +139,15 @@ class TestForwardModel:
     def test_wavefield_stored_every_step(self):
         # every step the image reads: those after the source dies out
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
         first = solver._source_active_until(wavelet.samples, nt) + 1
         assert 0 < first < nt
-        assert frames.shape == (nt - first, model.nz, model.nx)
-        assert solver.frame_layout(model, wavelet, nt) == (first, frames.shape)
+        assert solver.frame_layout(model, wavelet, nt) == (first, (nt - first, model.nz, model.nx))
 
     def test_frames_hold_the_steps_from_first_frame(self):
         # against every step's frame, stored by a window told to skip none
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        frames = frames_for(model, wavelet, nt)
+        forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         first, _ = solver.frame_layout(model, wavelet, nt)
         every = np.empty((nt, model.nz, model.nx), dtype=np.float32)
         solver._run_forward(solver._Propagator(model, dt), source, wavelet.samples, receivers,
@@ -151,46 +155,43 @@ class TestForwardModel:
         assert np.abs(frames).max() > 0
         np.testing.assert_array_equal(frames, every[first:])
 
-    def test_frames_out_is_filled_and_returned(self):
+    def test_nan_filled_buffer_is_fully_written(self):
+        # a row the forward window missed would keep its NaN
         model, source, receivers, wavelet, dt, nt = small_setup()
-        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
-        buf = np.full_like(frames, np.nan)
-        rec_buf, got = forward_model(model, source, wavelet, receivers, dt, nt, frames_out=buf)
-        assert got is buf
-        np.testing.assert_array_equal(rec_buf.traces, rec.traces)
-        np.testing.assert_array_equal(buf, frames)
+        zeros = np.zeros_like(frames_for(model, wavelet, nt))
+        nans = np.full_like(zeros, np.nan)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=zeros)
+        rec_nan = forward_model(model, source, wavelet, receivers, dt, nt, frames=nans)
+        assert np.abs(zeros).max() > 0
+        np.testing.assert_array_equal(nans, zeros)
+        np.testing.assert_array_equal(rec_nan.traces, rec.traces)
+        np.testing.assert_array_equal(
+            forward_model(model, source, wavelet, receivers, dt, nt).traces, rec.traces)
 
-    def test_default_calls_never_alias(self):
-        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, a = forward_model(model, source, wavelet, receivers, dt, nt)
-        _, b = forward_model(model, source, wavelet, receivers, dt, nt)
-        assert not np.shares_memory(a, b)
 
-    @pytest.mark.parametrize("bad", [
-        lambda f: np.empty((f.shape[0] + 1, *f.shape[1:]), dtype=np.float32),
-        lambda f: np.empty((f.shape[0], f.shape[1] - 1, f.shape[2]), dtype=np.float32),
-        lambda f: np.empty(f.shape, dtype=np.float64),
-        lambda f: np.empty((*f.shape[:2], 2 * f.shape[2]), dtype=np.float32)[:, :, ::2],
-        lambda f: np.broadcast_to(np.empty(f.shape[1:], dtype=np.float32), f.shape),
-        lambda f: np.empty(f.shape, dtype=np.float32).tolist(),
-    ], ids=["rows", "nz", "float64", "non_contiguous", "read_only", "not_an_array"])
-    def test_bad_frames_out_rejected(self, monkeypatch, bad):
-        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
-        out = bad(frames)
-        before = np.array(out, copy=True)
-        # no kernels: stepping anything would raise AttributeError instead
-        monkeypatch.setattr(solver, "impl", None)
-        with pytest.raises(ValueError, match="frames_out"):
-            forward_model(model, source, wavelet, receivers, dt, nt, frames_out=out)
-        np.testing.assert_array_equal(np.asarray(out), before)
-
-    def test_frames_out_needs_store_wavefield(self):
-        model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        _, frames = forward_model(model, source, wavelet, receivers, dt, nt)
-        with pytest.raises(ValueError, match="store_wavefield"):
-            forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False,
-                          frames_out=np.empty_like(frames))
+@pytest.mark.parametrize("bad", [
+    lambda f: np.empty((f.shape[0] + 1, *f.shape[1:]), dtype=np.float32),
+    lambda f: np.empty((f.shape[0], f.shape[1] - 1, f.shape[2]), dtype=np.float32),
+    lambda f: np.empty(f.shape, dtype=np.float64),
+    lambda f: np.empty((*f.shape[:2], 2 * f.shape[2]), dtype=np.float32)[:, :, ::2],
+    lambda f: np.broadcast_to(np.empty(f.shape[1:], dtype=np.float32), f.shape),  # nor contiguous
+    lambda f: np.empty(f.shape, dtype=np.float32).tolist(),
+], ids=["rows", "nz", "float64", "non_contiguous", "read_only", "not_an_array"])
+@pytest.mark.parametrize("call", ["forward_model", "rtm_shot_image"])
+def test_bad_frames_rejected(monkeypatch, call, bad):
+    model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
+    frames = frames_for(model, wavelet, nt)
+    rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
+    out = bad(frames)
+    before = np.array(out, copy=True)
+    # no kernels: stepping anything would raise AttributeError instead
+    monkeypatch.setattr(solver, "impl", None)
+    with pytest.raises(ValueError, match="frames"):
+        if call == "forward_model":
+            forward_model(model, source, wavelet, receivers, dt, nt, frames=out)
+        else:
+            rtm_shot_image(model, ShotGatherPlan(0, source, receivers), rec, wavelet, frames=out)
+    np.testing.assert_array_equal(np.asarray(out), before)
 
 
 def scatterer_case(nz=101, nx=101, sc=(50, 51), rel=0.10):
@@ -204,49 +205,52 @@ def scatterer_case(nz=101, nx=101, sc=(50, 51), rel=0.10):
     dt = 0.8 * min(stable_dt(model), stable_dt(true_model))
     nt = int(round(1.4 / dt)) + 1
     wavelet = ricker(15.0, dt, nt)
-    rec_true, _ = forward_model(true_model, plan.source, wavelet, plan.receivers, dt, nt,
-                                store_wavefield=False)
-    rec_bg, _ = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt,
-                              store_wavefield=False)
+    rec_true = forward_model(true_model, plan.source, wavelet, plan.receivers, dt, nt)
+    frames = frames_for(model, wavelet, nt)
+    rec_bg = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, frames=frames)
     observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
-    return model, plan, observed, wavelet, sc
+    return model, plan, observed, wavelet, frames, sc
 
 
 class TestRtmShotImage:
     def test_zero_data_gives_zero_image(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         zero = dataclasses.replace(rec, traces=np.zeros_like(rec.traces))
-        image = rtm_shot_image(model, plan, zero, wavelet)
+        image = rtm_shot_image(model, plan, zero, wavelet, frames=frames)
         assert (image.values == 0).all()
 
     def test_linear_in_observed_data(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
-        img1 = rtm_shot_image(model, plan, rec, wavelet)
-        img2 = rtm_shot_image(model, plan, rec.scaled(2.0), wavelet)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
+        img1 = rtm_shot_image(model, plan, rec, wavelet, frames=frames)
+        img2 = rtm_shot_image(model, plan, rec.scaled(2.0), wavelet, frames=frames)
         np.testing.assert_array_equal(img2.values, 2.0 * img1.values)
 
     def test_point_scatterer_focus(self):
-        model, plan, observed, wavelet, (ci, cj) = scatterer_case()
-        image = rtm_shot_image(model, plan, observed, wavelet)
+        model, plan, observed, wavelet, frames, (ci, cj) = scatterer_case()
+        image = rtm_shot_image(model, plan, observed, wavelet, frames=frames)
         iz, ix = np.unravel_index(np.argmax(np.abs(image.values)), image.values.shape)
         assert abs(iz - ci) <= 3 and abs(ix - cj) <= 3
 
     def test_geometry_mismatch_rejected(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers[:-1])
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         with pytest.raises(ValueError):
-            rtm_shot_image(model, plan, rec, wavelet)
+            rtm_shot_image(model, plan, rec, wavelet, frames=frames)
 
     @pytest.mark.parametrize("axis", [0, 1, 2], ids=["nt", "nz", "nx"])
     def test_frames_shape_mismatch_rejected(self, monkeypatch, axis):
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
-        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         shape = list(frames.shape)
         shape[axis] -= 1
         # no kernels: propagating anything would raise AttributeError instead
@@ -259,9 +263,10 @@ class TestRtmShotImage:
         # never converted: a copy would be a second wavefield-sized buffer
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
-        rec, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        frames = frames_for(model, wavelet, nt)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         monkeypatch.setattr(solver, "impl", None)
-        with pytest.raises(ValueError, match=f"frames dtype {np.dtype(dtype).name}"):
+        with pytest.raises(ValueError, match="frames must be a C-contiguous 3-D float32 array"):
             rtm_shot_image(model, plan, rec, wavelet, frames=frames.astype(dtype))
 
     def test_float32_frames_image_matches_float64_reference(self):
@@ -274,11 +279,11 @@ class TestRtmShotImage:
         v[28:33, 28:33] *= 1.1
         true_model = dataclasses.replace(model, v=v)
         plan = ShotGatherPlan(0, source, receivers)
-        rec_true, _ = forward_model(true_model, source, wavelet, receivers, dt, nt,
-                                    store_wavefield=False)
-        rec_bg, frames = forward_model(model, source, wavelet, receivers, dt, nt)
+        rec_true = forward_model(true_model, source, wavelet, receivers, dt, nt)
+        frames = frames_for(model, wavelet, nt)
+        rec_bg = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
         observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
-        image = rtm_shot_image(model, plan, observed, wavelet).values
+        image = rtm_shot_image(model, plan, observed, wavelet, frames=frames).values
 
         first, shape = solver.frame_layout(model, wavelet, nt)
         prop = solver._Propagator(model, dt)
@@ -306,13 +311,13 @@ class TestRtmShotImage:
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
         constant = dataclasses.replace(wavelet, samples=np.ones(nt))
-        rec, frames = forward_model(model, source, constant, receivers, dt, nt)
+        frames = frames_for(model, constant, nt)
+        rec = forward_model(model, source, constant, receivers, dt, nt, frames=frames)
         assert solver.frame_layout(model, constant, nt)[0] == nt
         assert frames.shape == (0, model.nz, model.nx)
         assert np.abs(rec.traces).max() > 0
-        for given in (frames, None):
-            image = rtm_shot_image(model, plan, rec, constant, frames=given)
-            assert not image.values.any()
+        image = rtm_shot_image(model, plan, rec, constant, frames=frames)
+        assert not image.values.any()
 
 
 class TestAdjoint:
@@ -324,7 +329,7 @@ class TestAdjoint:
 
     def test_forward_side_positive_for_matching_data(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt)
         assert float(np.vdot(rec.traces, rec.traces)) > 0
 
     def test_grid_size_limit(self):
@@ -361,8 +366,8 @@ class TestSponge:
         nt = int(round(1.4 / dt)) + 1
         off = 10.0 * extra
         receivers = [(off + 50.0 + 100.0 * i, off + 100.0) for i in range(10)]
-        rec, _ = forward_model(model, (off + 510.0, off + 500.0), ricker(15.0, dt, nt),
-                               receivers, dt, nt, store_wavefield=False)
+        rec = forward_model(model, (off + 510.0, off + 500.0), ricker(15.0, dt, nt),
+                            receivers, dt, nt)
         return rec.traces
 
     def test_boundary_reflection_below_5_percent(self):
@@ -564,11 +569,12 @@ class TestBackendParity:
     def test_shot_image_matches(self, c_stencil, monkeypatch):
         model, source, receivers, wavelet, dt, nt = small_setup()
         plan = ShotGatherPlan(0, source, receivers)
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt, store_wavefield=False)
         images = []
         for impl in (c_stencil, _stencil_py):
             monkeypatch.setattr(solver, "impl", impl)
-            images.append(rtm_shot_image(model, plan, rec, wavelet).values)
+            frames = frames_for(model, wavelet, nt)  # each backend's own forward frames
+            rec = forward_model(model, source, wavelet, receivers, dt, nt, frames=frames)
+            images.append(rtm_shot_image(model, plan, rec, wavelet, frames=frames).values)
         assert np.abs(images[1]).max() > 0
         np.testing.assert_array_equal(images[0], images[1])
 
@@ -726,13 +732,31 @@ class TestBlobSerialization:
         from rtmcloud.blobstore import decode_image, encode_image
 
         model, source, receivers, wavelet, dt, nt = small_setup(record_time=0.4)
-        rec, _ = forward_model(model, source, wavelet, receivers, dt, nt,
-                               store_wavefield=False)
+        rec = forward_model(model, source, wavelet, receivers, dt, nt)
         blob = decode_image(encode_image(rec.to_blob()))
         assert blob.kind == "shotrec"
         assert blob.nz == nt and blob.nx == len(receivers)
-        assert blob.dz == dt
+        assert blob.dz == dt and blob.oz == dt
         np.testing.assert_array_equal(blob.values, rec.traces)
+
+    def test_shot_record_header_times_the_direct_arrival(self):
+        # Against a record stepped 8x finer, the direct arrival 20 m from the
+        # source peaks within half a default step of the header's time.
+        from rtmcloud.blobstore import decode_image, encode_image
+
+        model = make_layered_model(61, 61, 10.0, 10.0, [1500.0])
+        peaks = []
+        for k in (1, 8):
+            dt = default_dt(model) / k
+            nt = int(round(0.4 / dt)) + 1
+            rec = forward_model(model, (300.0, 300.0), ricker(15.0, dt, nt), ((320.0, 300.0),),
+                                dt, nt)
+            blob = decode_image(encode_image(rec.to_blob()))
+            trace = blob.values[:, 0]
+            n = int(np.argmax(np.abs(trace)))
+            a, b, c = trace[n - 1 : n + 2]  # a parabola through the peak sample
+            peaks.append(blob.oz + (n + 0.5 * (a - c) / (a - 2 * b + c)) * blob.dz)
+        assert abs(peaks[0] - peaks[1]) < 0.5 * default_dt(model)
 
 
 class TestShotRecordValidation:
