@@ -3,7 +3,9 @@
 
 Runs one forward and one adjoint window of ``--steps`` steps on an n x n
 padded grid, with a source and 48 receivers, and reports steps/second per
-backend plus the speedup.  The forward window injects the source and
+backend plus the speedup.  The grid's arrays are laid out as the solver lays
+them out, by ``aligned_grid``: rows n rounded up to 8 doubles apart, column
+2 of each on a 64-byte boundary.  The forward window injects the source and
 records the traces; the adjoint window injects the data and records the
 source-cell series.  With ``--frames`` each window also does what a
 migrated shot adds: the forward stores the model interior (the grid less
@@ -44,7 +46,7 @@ import numpy as np
 from trajectory import ROOT, append_entry, commit
 
 from rtmcloud.wavekernel import _backend, _stencil_py, backend_isa, backend_name, solver
-from rtmcloud.wavekernel._stencil_py import Plan
+from rtmcloud.wavekernel._stencil_py import Plan, aligned_grid, row_stride
 
 # Zero-step window calls timed per backend and kind; their median is the fixed cost.
 ZERO_STEP_CALLS = 2000
@@ -68,17 +70,18 @@ def window_args(kind, n, steps, frames=False, seed=0):
     """Plan arguments of one ``kind`` propagation of ``steps`` steps, as
     ``(positional, keywords)``, and its outputs besides the fields."""
     rng = np.random.default_rng(seed)
-    fields = [np.zeros((n, n)) for _ in range(3)]
+    fields = [aligned_grid(n, n) for _ in range(3)]
     fields[1][2:-2, 2:-2] = rng.standard_normal((n - 4, n - 4)) * 1e-3
-    vdt2 = np.full((n, n), (1500.0 * 0.0015) ** 2)
-    mask = np.ones((n, n))
-    mask[:2] = mask[-2:] = mask[:, :2] = mask[:, -2:] = 0.0
+    vdt2, mask = aligned_grid(n, n), aligned_grid(n, n)
+    vdt2[:] = (1500.0 * 0.0015) ** 2
+    mask[2:-2, 2:-2] = 1.0
     inv_h2 = 1.0 / 10.0**2
-    c = (n // 2) * n + n // 2
-    src_idx = np.array([[c, c + 1, c + n, c + n + 1]], dtype=np.intp)
+    ld = row_stride(n)  # a flat cell index is row * ld + column
+    c = (n // 2) * ld + n // 2
+    src_idx = np.array([[c, c + 1, c + ld, c + ld + 1]], dtype=np.intp)
     src_w = np.full((1, 4), 0.25) * vdt2[n // 2, n // 2]
     cols = np.linspace(4, n - 6, 48).astype(np.intp)
-    rec_idx = (4 * n + cols)[:, None] + np.array([0, 1, n, n + 1], dtype=np.intp)
+    rec_idx = (4 * ld + cols)[:, None] + np.array([0, 1, ld, ld + 1], dtype=np.intp)
     rec_w = np.tile([0.4, 0.1, 0.4, 0.1], (len(cols), 1))
     head = [steps, fields, (vdt2, mask, inv_h2, inv_h2), (src_idx, src_w), (rec_idx, rec_w)]
     first, side = (steps // 8, max(n - 2 * PAD, 1)) if frames else (0, 0)

@@ -390,7 +390,13 @@ def pricing_model(config: PipelineConfig) -> batchsim.PricingModel:
 
 
 def run_pipeline(config: PipelineConfig):
-    """Map and reduce concurrently; returns (ImageGrid, ReductionReport, CostReport)."""
+    """Map and reduce concurrently; returns (ImageGrid, ReductionReport, CostReport).
+    A config value out of range raises ValueError before anything is written."""
+    n_shots = config.survey.n_receivers
+    vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
+    pricing = pricing_model(config)
+    reduction = reduction_config(config)
+
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     store = BlobStore(config.store_root())
@@ -400,14 +406,11 @@ def run_pipeline(config: PipelineConfig):
             f"queue at {config.queue_root()} is not empty; refusing to mix runs"
         )
 
-    n_shots = config.survey.n_receivers
-    vm_counts = batchsim.parse_vm_counts(config.report.vm_counts, n_shots, "report.vm_counts")
-    pricing = pricing_model(config)
     results, sender = _FORK.Pipe(duplex=False)
     lifeline, held = _FORK.Pipe(duplex=False)  # the driver writes nothing; it only holds it
     reducer = _FORK.Process(
         target=_reduction_process,
-        args=(reduction_config(config), queue, store, sender, lifeline, (results, held)),
+        args=(reduction, queue, store, sender, lifeline, (results, held)),
         name="reduction-service",
         daemon=True,
     )

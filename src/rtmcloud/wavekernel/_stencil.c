@@ -35,15 +35,26 @@
  * non-temporal stores, past the caches, which they would otherwise fill
  * with lines read back only by the adjoint, long after.
  *
+ * Every grid array (the three fields, vdt2, mask and the adjoint's ring) is
+ * rows of nx values that start ld values apart, ld >= nx: row i, column k
+ * is a[i * ld + k], and a flat cell index is i * ld + k.  The columns from
+ * nx to ld - 1 are dead: no step reads or writes them.  The solver pads ld
+ * to a multiple of 8 doubles and places each array so that column 2, the
+ * first a step writes, of every row starts on a 64-byte boundary; a row's
+ * vector loads and stores then never split a cache line, which took a
+ * quarter of the forward's time at the 145-wide default grid.  Any ld >= nx
+ * gives the same values, only slower.
+ *
  * Plain C over raw pointers and sizes, called through ctypes.  Both windows
  * take one Plan, a propagation's arguments, which _stencil_py.Plan builds
  * once and mirrors field for field; _backend refuses a library whose
  * plan_size() differs from the mirror's.  The windows check nothing: the
- * plan was checked when it was built, so the arrays are C-contiguous of the
- * sizes it gives, at least 5 x 5, cell indices and the frame interior lie
- * inside the grid, every series has nt rows, the frames one for each step
- * from first on, 0 <= first <= nt, and no array the windows write overlaps
- * another; and each window has 0 <= n0 <= n1 <= nt.
+ * plan was checked when it was built, so the grid arrays are nz rows of ld,
+ * at least 5 x 5, the other arrays C-contiguous of the sizes it gives, cell
+ * indices and the frame interior lie inside the nz x nx grid, every series
+ * has nt rows, the frames one for each step from first on, 0 <= first <=
+ * nt, and no array the windows write overlaps another; and each window has
+ * 0 <= n0 <= n1 <= nt.
  *
  * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
@@ -101,12 +112,12 @@ INLINE double laplacian(double a2, double a1, const double *u, double b1, double
  * field, whose rows two either side the stencil reads. */
 INLINE void forward_row(double *restrict nxt, const double *restrict cur, const double *restrict prv,
                         const double *restrict vdt2, const double *restrict mask,
-                        ptrdiff_t nx, double inv_dz2, double inv_dx2)
+                        ptrdiff_t nx, ptrdiff_t ld, double inv_dz2, double inv_dx2)
 {
     for (ptrdiff_t k = 2; k < nx - 2; k++)
         nxt[k] = mask[k] * (2.0 * cur[k] - mask[k] * prv[k]
-                            + vdt2[k] * laplacian(cur[k - 2 * nx], cur[k - nx], cur, cur[k + nx],
-                                                  cur[k + 2 * nx], k, inv_dz2, inv_dx2));
+                            + vdt2[k] * laplacian(cur[k - 2 * ld], cur[k - ld], cur, cur[k + ld],
+                                                  cur[k + 2 * ld], k, inv_dz2, inv_dx2));
 }
 
 INLINE void scale_row(double *restrict w, const double *restrict vdt2, const double *restrict mask,
@@ -187,7 +198,7 @@ INLINE double corners(const double *u, const ptrdiff_t *idx, const double *w)
  * what its steps read and write.  The source cells si, sw are NULL in an
  * adjoint plan without a source series; any output may be NULL. */
 typedef struct {
-    ptrdiff_t nt, nz, nx;
+    ptrdiff_t nt, nz, nx, ld;           /* ld: the row stride of every grid array, >= nx */
     ptrdiff_t nr;                       /* receivers, four cells and weights each */
     ptrdiff_t first, fz, fx, pad;       /* frames from step first, fz x fx at (pad, pad) */
     double inv_dz2, inv_dx2;
@@ -201,7 +212,7 @@ typedef struct {
     double *tr;                         /* nt x nr: the forward's traces, or the adjoint's data */
     float *fr;                          /* the frames, rounded to float */
     double *img;                        /* the image */
-    double *ring;                       /* seven rows of nx, zero when the plan is built */
+    double *ring;                       /* seven rows of ld, zero when the plan is built */
 } Plan;
 
 size_t plan_size(void)
@@ -216,8 +227,8 @@ size_t plan_size(void)
 INLINE void forward_step_row(const Plan *p, ptrdiff_t at, ptrdiff_t n, ptrdiff_t i, double *nxt,
                              const double *cur, const double *prv)
 {
-    ptrdiff_t r = i * p->nx;
-    forward_row(nxt + r, cur + r, prv + r, p->vdt2 + r, p->mask + r, p->nx, p->inv_dz2,
+    ptrdiff_t r = i * p->ld;
+    forward_row(nxt + r, cur + r, prv + r, p->vdt2 + r, p->mask + r, p->nx, p->ld, p->inv_dz2,
                 p->inv_dx2);
     for (int c = 0; i == at && c < 4; c++)
         nxt[p->si[c]] += p->sw[c] * p->qs[n];
@@ -231,10 +242,10 @@ void forward_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
 {
     /* A step injects once the last row of the source cells, clamped to the
      * interior, is done; the second step of a sweep runs lag rows behind. */
-    ptrdiff_t nz = p->nz, nx = p->nx, lo = nz, hi = 0;
+    ptrdiff_t nz = p->nz, ld = p->ld, lo = nz, hi = 0;
     for (int c = 0; c < 4; c++) {
-        lo = p->si[c] / nx < lo ? p->si[c] / nx : lo;
-        hi = p->si[c] / nx > hi ? p->si[c] / nx : hi;
+        lo = p->si[c] / ld < lo ? p->si[c] / ld : lo;
+        hi = p->si[c] / ld > hi ? p->si[c] / ld : hi;
     }
     ptrdiff_t lag = hi - lo + 3, at = hi < 2 ? 2 : hi > nz - 3 ? nz - 3 : hi;
     for (ptrdiff_t n = n0; n < n1;) {
@@ -253,7 +264,7 @@ void forward_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
                 p->tr[n * p->nr + r] = corners(u, p->ri + 4 * r, p->rw + 4 * r);
             for (ptrdiff_t i = 0; p->fr && n >= p->first && i < p->fz; i++)
                 store_row(p->fr + ((n - p->first) * p->fz + i) * p->fx,
-                          u + (p->pad + i) * nx + p->pad, p->fx);
+                          u + (p->pad + i) * ld + p->pad, p->fx);
         }
     }
     if (p->fr)
@@ -272,24 +283,24 @@ void adjoint_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
     /* five rows of w = vdt2*mask*cur, row r in ring row r % 5, then a zero
      * row that stands for w's halo rows and a sink row that takes the rows
      * past them; the halo columns of every row stay zero */
-    ptrdiff_t nz = p->nz, nx = p->nx;
-    const double *vdt2 = p->vdt2, *mask = p->mask, *zero = p->ring + 5 * nx;
-    double *ring = p->ring, *sink = ring + 6 * nx;
+    ptrdiff_t nz = p->nz, nx = p->nx, ld = p->ld;
+    const double *vdt2 = p->vdt2, *mask = p->mask, *zero = p->ring + 5 * ld;
+    double *ring = p->ring, *sink = ring + 6 * ld;
     for (ptrdiff_t n = n1 - 1; n >= n0; n--) {
         ptrdiff_t k = n1 - 1 - n;  /* steps done: the roles rotate left by one per step */
         double *prv = p->f[k % 3], *cur = p->f[(k + 1) % 3], *nxt = p->f[(k + 2) % 3];
         for (ptrdiff_t r = 2; r < 4 && r < nz - 2; r++)
-            scale_row(ring + r * nx, vdt2 + r * nx, mask + r * nx, cur + r * nx, nx);
+            scale_row(ring + r * ld, vdt2 + r * ld, mask + r * ld, cur + r * ld, nx);
         for (ptrdiff_t i = 2; i < nz - 2; i++) {
             const double *w[4];
             for (int j = 0; j < 4; j++) {
                 ptrdiff_t r = i - 2 + j;
-                w[j] = r < 2 || r >= nz - 2 ? zero : ring + r % 5 * nx;
+                w[j] = r < 2 || r >= nz - 2 ? zero : ring + r % 5 * ld;
             }
-            ptrdiff_t b = (i + 2) * nx;
+            ptrdiff_t a = i * ld, b = (i + 2) * ld;
             int in = i + 2 < nz - 2;
-            adjoint_row(nxt + i * nx, prv + i * nx, cur + i * nx, mask + i * nx, w,
-                        in ? ring + (i + 2) % 5 * nx : sink, in ? vdt2 + b : zero,
+            adjoint_row(nxt + a, prv + a, cur + a, mask + a, w,
+                        in ? ring + (i + 2) % 5 * ld : sink, in ? vdt2 + b : zero,
                         in ? mask + b : zero, in ? cur + b : zero, nx, p->inv_dz2, p->inv_dx2);
         }
         for (ptrdiff_t j = 0; j < 4 * p->nr; j++)
@@ -298,7 +309,7 @@ void adjoint_window(const Plan *p, ptrdiff_t n0, ptrdiff_t n1)
             p->qs[n] = corners(nxt, p->si, p->sw);
         for (ptrdiff_t i = 0; p->img && n >= p->first && i < p->fz; i++)
             correlate_row(p->img + i * p->fx, p->fr + ((n - p->first) * p->fz + i) * p->fx,
-                          nxt + (p->pad + i) * nx + p->pad, p->fx);
+                          nxt + (p->pad + i) * ld + p->pad, p->fx);
     }
 }
 

@@ -23,6 +23,18 @@ the first, where ``lag`` is the source cells' row span plus 3, and writes
 the stored frames with non-temporal stores, past the caches; neither
 changes any value, so this module steps one at a time.
 
+The grid arrays, the three fields, ``vdt2`` and ``mask``, are nz x nx
+arrays whose rows may start further apart than nx values: ``ld``, the row
+stride in values, is the same for all five, and a flat cell index is
+``row * ld + column``.  ``aligned_grid`` makes them as the solver uses
+them: ``ld`` is nx rounded up to 8 doubles and column 2, the first column a
+step writes, of every row starts on a 64-byte boundary, so the compiled
+rows' vector loads and stores never split a cache line.  Each grid array is
+a view ``[:, :nx]`` of its ``(nz, ld)`` rows; the columns past nx are never
+read or written.  A plain C-contiguous array is the layout with ``ld ==
+nx``.  The NumPy windows step these views and index cells by (row, column),
+so any ``ld`` gives the same bits.
+
 The step kernels make no temporaries: every ufunc writes through ``out=``
 into the plan's scratch planes, and the result goes into the interior of
 ``nxt`` with one final write.  Every operation follows the C kernel's
@@ -41,12 +53,45 @@ _C1 = 4.0 / 3.0
 _C2 = -1.0 / 12.0
 _FLOAT64, _FLOAT32, _INTP = np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.intp)
 _N, _P = ctypes.c_ssize_t, ctypes.c_void_p
+# Doubles in a 64-byte cache line, the width of one AVX-512 vector.
+_LANE = 8
+
+
+def row_stride(nx):
+    """The row stride, in values, of ``aligned_grid``'s rows: nx rounded up to 8."""
+    return -(-nx // _LANE) * _LANE
+
+
+def _rows(nz, ld):
+    """Zeroed float64 (nz, ld) rows whose first row's column 2 starts on a
+    64-byte boundary, as every row's does when ``ld`` is a multiple of 8."""
+    buf = np.zeros(nz * ld + _LANE)
+    skip = (-buf.ctypes.data // 8 - 2) % _LANE
+    return buf[skip : skip + nz * ld].reshape(nz, ld)
+
+
+def aligned_grid(nz, nx):
+    """A zeroed float64 nz x nx grid in the windows' layout: the view
+    ``[:, :nx]`` of rows ``row_stride(nx)`` values apart, column 2 of each
+    on a 64-byte boundary."""
+    return _rows(nz, row_stride(nx))[:, :nx]
+
+
+def _rows_apart(a):
+    """Whether the 2-D ``a`` is rows of contiguous values, at least a row apart."""
+    row, item = a.strides
+    return item == a.itemsize and row % item == 0 and row >= a.shape[1] * item
+
+
+def _span(a):
+    """Bytes from the first value of ``a`` to the end of its last."""
+    return a.itemsize + sum((n - 1) * s for n, s in zip(a.shape, a.strides)) if a.size else 0
 
 
 class CPlan(ctypes.Structure):
     """A plan as the C windows read it: ``Plan`` in ``_stencil.c``, field for field."""
 
-    _fields_ = ([(name, _N) for name in "nt nz nx nr first fz fx pad".split()]
+    _fields_ = ([(name, _N) for name in "nt nz nx ld nr first fz fx pad".split()]
                 + [("inv_dz2", ctypes.c_double), ("inv_dx2", ctypes.c_double), ("f", _P * 3)]
                 + [(name, _P) for name in "vdt2 mask si sw ri rw qs tr fr img ring".split()])
 
@@ -56,13 +101,17 @@ class Plan:
 
     ``fields`` are the ``(prv, cur, nxt)`` the windows step, ``coefficients``
     are ``(vdt2, mask, inv_dz2, inv_dx2)``, and ``src`` and ``rec`` are the
-    bilinear cells ``(indices, weights)``, flat indices into the padded grid
-    and weights, both shaped ``(n_positions, 4)``.  A forward plan takes
+    bilinear cells ``(indices, weights)``, flat indices ``row * ld +
+    column`` into the padded grid and weights, both shaped
+    ``(n_positions, 4)``.  The fields, ``vdt2`` and ``mask`` are grid arrays,
+    all shaped and strided alike: rows of contiguous values, ``ld`` apart
+    (see the module docstring).  A forward plan takes
     ``q``, an adjoint one ``data``; the rest are its optional series.  The
     frames hold the steps the image reads, step ``n`` in row
     ``n - first_frame`` for ``n >= first_frame``, each the fz x fx interior
     at (pad, pad) rounded to float32, ``(fz, fx) = frames.shape[1:]``; every
-    other array is float64, the cell indices intp.  Building raises ValueError
+    other array is float64, the cell indices intp, and all but the grid
+    arrays C-contiguous.  Building raises ValueError
     unless the arguments keep the contract for ``nt`` steps: every series
     has ``nt`` rows and the frames one for each step from ``first_frame`` on,
     which is clamped to ``nt``.  The plan keeps a reference to every array,
@@ -80,23 +129,25 @@ class Plan:
             raise ValueError(f"first_frame={first_frame} must be >= 0")
         first_frame = min(first_frame, nt)
         forward = q is not None
-        taken = []  # (array, data address, size in bytes, written by the windows)
+        taken = []  # (array, data address, span in bytes, written by the windows)
 
-        def take(a, name, ndim, written=False, dtype=_FLOAT64):
+        def take(a, name, ndim, written=False, dtype=_FLOAT64, grid=False):
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
-                    and a.flags.c_contiguous):
-                raise ValueError(f"{name} must be a C-contiguous {ndim}-D {dtype} array")
+                    and (_rows_apart(a) if grid else a.flags.c_contiguous)):
+                kind = f"{ndim}-D {dtype} array"
+                raise ValueError(f"{name} must be a {kind} of contiguous rows" if grid
+                                 else f"{name} must be a C-contiguous {kind}")
             if written and not a.flags.writeable:
                 raise ValueError(f"{name} must be writable")
-            taken.append((a, a.ctypes.data, a.nbytes, written))  # .ctypes costs the most: read once
+            taken.append((a, a.ctypes.data, _span(a), written))  # .ctypes costs the most: read once
             return a
 
         def cells(pair, name):
             idx, w = take(pair[0], name, 2, dtype=_INTP), take(pair[1], name, 2)
             if idx.shape[1] != 4 or w.shape != idx.shape:
                 raise ValueError(f"{name}: indices and weights must both be (n, 4)")
-            if idx.size and (idx.min() < 0 or idx.max() >= ncells):
-                raise ValueError(f"{name}: a cell index lies outside the {ncells}-cell grid")
+            if idx.size and (idx.min() < 0 or idx.max() >= nz * ld or (idx % ld).max() >= nx):
+                raise ValueError(f"{name}: a cell index lies outside the {nz} x {nx} grid")
             return len(idx)
 
         def series(a, name, ndim, written=False, cols=None, rows=nt, dtype=_FLOAT64):
@@ -106,12 +157,13 @@ class Plan:
                                  + (" and one column per receiver" if ndim == 2 else ""))
 
         for k, f in enumerate((*fields, vdt2, mask)):
-            if take(f, f"field {k}", 2, k < len(fields)).shape != fields[0].shape:
-                raise ValueError(f"field {k} must be shaped like field 0")
+            f = take(f, f"field {k}", 2, k < len(fields), grid=True)
+            if (f.shape, f.strides) != (fields[0].shape, fields[0].strides):
+                raise ValueError(f"field {k} must be shaped and strided like field 0")
         nz, nx = fields[0].shape
+        ld = fields[0].strides[0] // fields[0].itemsize
         if nz < 5 or nx < 5:
             raise ValueError(f"{nz} x {nx} fields leave no interior inside the two-cell halo")
-        ncells = nz * nx
         nr = cells(rec, "receiver cells")
         # An adjoint plan needs source cells only for q_star.
         if forward or q_star is not None or src[0] is not None or src[1] is not None:
@@ -147,12 +199,12 @@ class Plan:
         (self.src_idx, self.src_w), (self.rec_idx, self.rec_w) = src, rec
         self.q, self.traces, self.data, self.q_star = q, traces, data, q_star
         self.frames, self.image = frames, image
-        # The C adjoint's ring of w rows, which persists unzeroed across its steps.
-        self.ring = None if forward else np.zeros((7, nx))
+        # The C adjoint's ring of w rows, ld apart, which persists unzeroed across its steps.
+        self.ring = None if forward else _rows(7, ld)
         at = {id(a): start for a, start, _, _ in taken}
         ptr = [at.get(id(a)) for a in (*fields, vdt2, mask, *src, *rec, q if forward else q_star,
                                        traces if forward else data, frames, image)]
-        self.c = CPlan(nt, nz, nx, nr, first_frame, fz, fx, pad, inv_dz2, inv_dx2,
+        self.c = CPlan(nt, nz, nx, ld, nr, first_frame, fz, fx, pad, inv_dz2, inv_dx2,
                        (_P * 3)(*ptr[:3]), *ptr[3:], None if forward else self.ring.ctypes.data)
 
     def window(self, n0, n1):
@@ -175,6 +227,14 @@ class Plan:
         """The NumPy windows' scratch, made on first use: ``w``, then three planes."""
         nz, nx = self.fields[0].shape
         return np.zeros((nz, nx)), *np.empty((3, nz - 4, nx - 4))
+
+    @functools.cached_property
+    def cells(self):
+        """The NumPy windows' source and receiver cells, made on first use, as
+        (row, column) index pairs; the source's is None without source cells."""
+        ld = self.c.ld
+        return (None if self.src_idx is None else np.divmod(self.src_idx, ld),
+                np.divmod(self.rec_idx, ld))
 
 
 def _axis_term(out, tmp, far, near, mid):
@@ -247,13 +307,13 @@ def forward_window(p, n0, n1):
     ``fz x fx`` interior at ``(pad, pad)``, rounded to float32 by the
     assignment, to ``frames[n - first_frame]``; either output may be None.
     """
-    for n in p.window(n0, n1):
+    steps, (src, rec) = p.window(n0, n1), p.cells
+    for n in steps:
         prv, cur, nxt = p.fields
         _forward_step(p, prv, cur, nxt)
-        flat = nxt.reshape(-1)
-        np.add.at(flat, p.src_idx, p.src_w * p.q[n])
+        np.add.at(nxt, src, p.src_w * p.q[n])
         if p.traces is not None:
-            p.traces[n] = _corners(flat[p.rec_idx] * p.rec_w)
+            p.traces[n] = _corners(nxt[rec] * p.rec_w)
         if p.frames is not None and n >= p.first_frame:
             p.frames[n - p.first_frame] = nxt[p.interior]
         p.rotate(1)
@@ -268,13 +328,13 @@ def adjoint_window(p, n0, n1):
     times the interior at ``(pad, pad)`` to ``image``.  ``q_star`` (with
     the source cells) and ``frames`` with ``image`` may be None.
     """
-    for n in reversed(p.window(n0, n1)):
+    steps, (src, rec) = p.window(n0, n1), p.cells
+    for n in reversed(steps):
         prv, cur, nxt = p.fields
         _adjoint_step(p, prv, cur, nxt)
-        flat = nxt.reshape(-1)
-        np.add.at(flat, p.rec_idx, p.rec_w * p.data[n][:, None])
+        np.add.at(nxt, rec, p.rec_w * p.data[n][:, None])
         if p.q_star is not None:
-            p.q_star[n] = _corners(flat[p.src_idx] * p.src_w)[0]
+            p.q_star[n] = _corners(nxt[src] * p.src_w)[0]
         if p.image is not None and n >= p.first_frame:
             p.image += p.frames[n - p.first_frame] * nxt[p.interior]
         p.rotate(1)

@@ -18,7 +18,13 @@ shot 0's image by 0.75% in relative L2
 
 Here each propagation is set up as one checked ``Plan``; its time loop runs
 in the kernels' windows on that plan, one call per ``_FINITE_CHECK_EVERY``
-steps, with a finiteness check between.
+steps, with a finiteness check between.  The padded grid's arrays, the three
+fields, ``vdt2`` and ``mask``, come from ``aligned_grid``: nz x nx views of
+rows ``ld`` values apart, ``ld`` = nx rounded up to 8 doubles (145 → 152 at
+the default config), with column ``HALO`` of every row on a 64-byte
+boundary, and the cell indices ``interp_cells`` makes are ``row * ld +
+column``.  Only the kernels' speed sees the layout: the columns past nx are
+never read or written, and the frames and images are plain (nz, nx) arrays.
 
 The stored source wavefield lives in the caller's buffer, which
 ``forward_model`` fills and ``rtm_shot_image`` reads: the interior frames of
@@ -45,12 +51,15 @@ import numpy as np
 from ..blobstore import KIND_IMAGE, KIND_SHOTREC, ImageBlob
 from ..survey import ShotGatherPlan, VelocityModel2D
 from ._backend import backend_name, impl
-from ._stencil_py import Plan
+from ._stencil_py import _C0, _C1, _C2, Plan, aligned_grid, row_stride
 
 SPONGE_CELLS = 20
 SPONGE_COEFF = 0.1
 HALO = 2
-CFL_SAFETY = 0.9
+# stable_dt's share of the scheme's limit.  Below 1 any share is stable; at
+# 0.95, a model 10% faster than the one its default dt was chosen for still
+# runs (a Courant number of 0.560 against a bound of 0.582).
+CFL_SAFETY = 0.95
 _FINITE_CHECK_EVERY = 128
 
 
@@ -146,13 +155,24 @@ class ImageGrid:
 
 
 def stable_dt(model: VelocityModel2D) -> float:
-    """Largest accepted dt: 0.9 * min(dz, dx) / (sqrt(2) * v_max)."""
-    return CFL_SAFETY * min(model.dz, model.dx) / (math.sqrt(2.0) * float(model.v.max()))
+    """Largest accepted dt: ``CFL_SAFETY`` times the scheme's stability limit.
+
+    The leapfrog stays bounded while dt² v_max² λ ≤ 4, where λ, the largest
+    eigenvalue of minus the stencil's Laplacian, is (|C0| + 2|C1| + 2|C2|) ·
+    (1/dz² + 1/dx²), the coefficients taken from the kernels' own table and
+    summing to 16/3: a Courant number v·dt/h of 2/√(2·16/3) = 0.612 when
+    dz == dx, and 0.582 with the safety factor.
+    """
+    taps = abs(_C0) + 2 * (abs(_C1) + abs(_C2))
+    lam = taps * (1.0 / model.dz**2 + 1.0 / model.dx**2)
+    return CFL_SAFETY * 2.0 / (float(model.v.max()) * math.sqrt(lam))
 
 
 def default_dt(model: VelocityModel2D) -> float:
-    """A comfortably stable dt for the fourth-order stencil (80% of the bound)."""
-    return 0.8 * stable_dt(model)
+    """The default step: a Courant number v·dt/min(dz, dx) of 0.72/√2 =
+    0.509, 83% of the scheme's limit when dz == dx.  Written out, not
+    derived from ``stable_dt``, so that every default image keeps its bits."""
+    return 0.8 * (0.9 * min(model.dz, model.dx) / (math.sqrt(2.0) * float(model.v.max())))
 
 
 def ricker(peak_frequency: float, dt: float, nt: int) -> Wavelet:
@@ -172,7 +192,9 @@ def ricker(peak_frequency: float, dt: float, nt: int) -> Wavelet:
 
 
 class _Propagator:
-    """Padded grid, damping profile, and interpolation helpers for one model."""
+    """Padded grid, damping profile, and interpolation helpers for one model.
+
+    Every grid array is an ``aligned_grid``: rows ``ld`` values apart."""
 
     def __init__(self, model: VelocityModel2D, dt: float):
         limit = stable_dt(model)
@@ -185,9 +207,11 @@ class _Propagator:
         self.pad = SPONGE_CELLS + HALO
         self.nz_pad = model.nz + 2 * self.pad
         self.nx_pad = model.nx + 2 * self.pad
+        self.ld = row_stride(self.nx_pad)
 
-        self.vdt2 = (np.pad(model.v, self.pad, mode="edge") * dt) ** 2
-        self.mask = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
+        self.vdt2, self.mask = self.grid(), self.grid()
+        self.vdt2[:] = (np.pad(model.v, self.pad, mode="edge") * dt) ** 2
+        self.mask[:] = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
         self.inv_dz2 = 1.0 / model.dz**2
         self.inv_dx2 = 1.0 / model.dx**2
         self.coefficients = (self.vdt2, self.mask, self.inv_dz2, self.inv_dx2)
@@ -202,32 +226,36 @@ class _Propagator:
         return np.concatenate([edge, np.ones(n - 2 * edge.size), edge[::-1]])
 
     def interp_cells(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        """Bilinear cells as flat indices into the padded grid, and their
-        weights, both shaped (n_positions, 4)."""
+        """Bilinear cells as flat indices ``row * ld + column`` into the padded
+        grid, and their weights, both shaped (n_positions, 4)."""
         m = self.model
-        idx = np.empty((len(positions), 4), dtype=np.intp)
-        wt = np.empty((len(positions), 4))
-        for k, (x, z) in enumerate(positions):
-            if not m.contains(x, z):
-                raise ValueError(f"position (x={x:g}, z={z:g}) outside the model extent")
-            gz = (z - m.oz) / m.dz + self.pad
-            gx = (x - m.ox) / m.dx + self.pad
-            i0, j0 = int(math.floor(gz)), int(math.floor(gx))
-            i0 = min(i0, self.nz_pad - 2)
-            j0 = min(j0, self.nx_pad - 2)
-            fz, fx = gz - i0, gx - j0
-            c = i0 * self.nx_pad + j0
-            idx[k] = (c, c + 1, c + self.nx_pad, c + self.nx_pad + 1)
-            wt[k] = ((1 - fz) * (1 - fx), (1 - fz) * fx, fz * (1 - fx), fz * fx)
+        x, z = np.asarray(positions, dtype=np.float64).reshape(-1, 2).T
+        (x0, x1), (z0, z1) = m.extent_x, m.extent_z
+        outside = ~((x0 <= x) & (x <= x1) & (z0 <= z) & (z <= z1))  # as m.contains tests
+        if outside.any():
+            k = int(outside.argmax())
+            raise ValueError(f"position (x={x[k]:g}, z={z[k]:g}) outside the model extent")
+        gz = (z - m.oz) / m.dz + self.pad
+        gx = (x - m.ox) / m.dx + self.pad
+        i0 = np.minimum(np.floor(gz), self.nz_pad - 2)
+        j0 = np.minimum(np.floor(gx), self.nx_pad - 2)
+        fz, fx = gz - i0, gx - j0
+        c = i0.astype(np.intp) * self.ld + j0.astype(np.intp)
+        idx = c[:, None] + np.array([0, 1, self.ld, self.ld + 1], dtype=np.intp)
+        wt = np.stack(((1 - fz) * (1 - fx), (1 - fz) * fx, fz * (1 - fx), fz * fx), axis=1)
         return idx, wt
 
     def source_cells(self, position) -> tuple[np.ndarray, np.ndarray]:
         """The source's cells, weighted by mask*vdt2 as the update scales them."""
         idx, wt = self.interp_cells([position])
-        return idx, self.mask.reshape(-1)[idx] * self.vdt2.reshape(-1)[idx] * wt
+        cell = np.divmod(idx, self.ld)
+        return idx, self.mask[cell] * self.vdt2[cell] * wt
+
+    def grid(self) -> np.ndarray:  # a zero array of the padded grid, rows ld apart
+        return aligned_grid(self.nz_pad, self.nx_pad)
 
     def fields(self) -> tuple:  # a propagation's (prv, cur, nxt), all zero
-        return tuple(np.zeros((self.nz_pad, self.nx_pad)) for _ in range(3))
+        return tuple(self.grid() for _ in range(3))
 
 
 def _check_finite(a: np.ndarray) -> None:

@@ -853,6 +853,19 @@ class TestCli:
             orchestrator.run_pipeline(config_from_dict(data))
         assert not list((tmp_path / "out").glob("tasks/done/*"))
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("reduce", "fan_in", 1), ("reduce", "parallel", 0),
+        ("pricing", "on_demand_rate", 0.0), ("pricing", "low_priority_discount_factor", 4.0),
+    ])
+    def test_bad_value_leaves_no_out_dir(self, tmp_path, monkeypatch, section, key, value):
+        # refused before the queue and store directories are made
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("a process was forked"))
+        data = tiny_config(tmp_path).to_dict()
+        data[section][key] = value
+        with pytest.raises(ValueError, match=rf"^{section}\.{key}\b"):
+            orchestrator.run_pipeline(config_from_dict(data))
+        assert not (tmp_path / "out").exists()
+
     def test_reduce_cli(self, tmp_path):
         from rtmcloud.blobstore import ImageBlob
 

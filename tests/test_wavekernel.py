@@ -99,18 +99,44 @@ class TestForwardModel:
         assert err.value.stable_dt == pytest.approx(stable_dt(model))
         assert f"{stable_dt(model):g}" in str(err.value)
 
+    def test_dt_past_the_scheme_limit_refused_before_any_step(self):
+        # 0.97 x the bound stable_dt gave before it was derived from the
+        # stencil, 0.9*h/(sqrt(2)*v): a Courant number of 0.617, past the
+        # scheme's 0.612, which that bound passed and which then blew up.
+        model = make_layered_model(61, 61, 10.0, 10.0, [1500.0])
+        dt = 0.97 * 0.9 * 10.0 / (math.sqrt(2.0) * 1500.0)
+        nt = 400
+        wavelet = ricker(15.0, dt, nt)
+        frames = np.full(solver.frame_layout(model, wavelet, nt)[1], np.nan, dtype=np.float32)
+        with pytest.raises(CFLViolationError):
+            forward_model(model, (300.0, 300.0), wavelet, ((100.0, 100.0),), dt, nt,
+                          frames=frames)
+        assert np.isnan(frames).all()  # no step wrote a frame
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_blowup_detected_between_spec_bound_and_scheme_limit(self):
-        # The acceptance gate passes any dt <= 0.9*h/(sqrt(2)*v), but the
-        # fourth-order stencil is only stable up to ~0.6124*h/v; a dt in the
-        # gap steps fine for a while and then explodes.
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_blowup_threshold_is_the_derived_limit(self, monkeypatch, factor):
+        # stable_dt / CFL_SAFETY is where the scheme starts to blow up, to
+        # within 1%: run 1% either side of it, past the CFL check.
         model = make_layered_model(61, 61, 10.0, 10.0, [1500.0])
-        dt = 0.999 * stable_dt(model)
+        dt = factor * stable_dt(model) / solver.CFL_SAFETY
+        monkeypatch.setattr(solver, "stable_dt", lambda m: math.inf)
         nt = 4000
         wavelet = ricker(15.0, dt, nt)
-        with pytest.raises(NumericalBlowupError):
-            forward_model(model, (300.0, 300.0), wavelet, ((100.0, 100.0),), dt, nt)
+        run = lambda: forward_model(model, (300.0, 300.0), wavelet, ((100.0, 100.0),), dt, nt)
+        if factor > 1:
+            with pytest.raises(NumericalBlowupError):
+                run()
+        else:
+            assert np.isfinite(run().traces).all()
+
+    def test_default_dt_keeps_its_courant_number(self):
+        # every default image was made with this step: 0.72/sqrt(2) = 0.509
+        for v, h in ((1500.0, 10.0), (2500.0, 7.5)):
+            model = make_layered_model(21, 25, h, h, [v])
+            assert default_dt(model) == 0.8 * (0.9 * h / (math.sqrt(2.0) * v))
+            assert default_dt(model) < stable_dt(model)
 
     def test_stable_for_2000_steps(self):
         model = make_layered_model(61, 61, 10. , 10.0, [1500.0])
@@ -202,7 +228,7 @@ def scatterer_case(nz=101, nx=101, sc=(50, 51), rel=0.10):
     true_model = VelocityModel2D(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, v)
     receivers = tuple((20.0 + 960.0 * i / 47.0, 20.0) for i in range(48))
     plan = ShotGatherPlan(0, (500.0, 980.0), receivers)
-    dt = 0.8 * min(stable_dt(model), stable_dt(true_model))
+    dt = min(default_dt(model), default_dt(true_model))
     nt = int(round(1.4 / dt)) + 1
     wavelet = ricker(15.0, dt, nt)
     rec_true = forward_model(true_model, plan.source, wavelet, plan.receivers, dt, nt)
@@ -417,8 +443,8 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
     rec_idx, rec_w = prop.interp_cells(receivers)
 
     def cells(top, bottom, col):
-        return np.array([[top * prop.nx_pad + col, top * prop.nx_pad + col + 1,
-                          bottom * prop.nx_pad + col, bottom * prop.nx_pad + col + 1]],
+        return np.array([[top * prop.ld + col, top * prop.ld + col + 1,
+                          bottom * prop.ld + col, bottom * prop.ld + col + 1]],
                         dtype=np.intp)
 
     if src_rows is not None:
@@ -488,8 +514,12 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         ("mask", lambda a: a["mask"][:, :-1].copy()),
         ("nxt", lambda a: a["cur"]),
         ("rec_idx", lambda a: a["rec_idx"].astype(np.int32)),
-        ("rec_idx", lambda a: np.where(a["rec_idx"] == a["rec_idx"].max(), a["mask"].size,
+        # row nz, column 0: the first index past the grid's rows, ld apart
+        ("rec_idx", lambda a: np.where(a["rec_idx"] == a["rec_idx"].max(),
+                                       len(a["mask"]) * a["mask"].strides[0] // 8,
                                        a["rec_idx"])),
+        # row 0, column nx: past the end of a row, in the columns up to ld
+        ("src_idx", lambda a: a["src_idx"] - a["src_idx"].min() + a["mask"].shape[1]),
         ("src_idx", lambda a: a["src_idx"] - a["src_idx"].max() - 1),
         _truncated("q"),
         _truncated("data"),
@@ -511,10 +541,11 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
     ],
     # first_frame replaced image_skip_until (first_frame - 1): "skip" ids are its cases
     ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
-         "cell_past_grid", "cell_negative", "n1_past_q", "n1_past_data", "n1_past_traces",
-         "n1_past_frames", "n1_past_q_star", "n0_past_n1", "n1_past_plan", "read_only_traces",
-         "frames_without_image", "image_not_frame_shaped", "interior_past_grid", "n0_float",
-         "skip_none", "skip_float", "skip_negative", "inv_dz2_none", "inv_dx2_str"],
+         "cell_past_grid", "cell_in_dead_column", "cell_negative", "n1_past_q", "n1_past_data",
+         "n1_past_traces", "n1_past_frames", "n1_past_q_star", "n0_past_n1", "n1_past_plan",
+         "read_only_traces", "frames_without_image", "image_not_frame_shaped",
+         "interior_past_grid", "n0_float", "skip_none", "skip_float", "skip_negative",
+         "inv_dz2_none", "inv_dx2_str"],
 )
 
 
@@ -715,6 +746,72 @@ class TestTwoStepSweeps:
         windows = solver._windows(0, nt, 1)
         assert windows[-1] == (129, 130)
         assert_same_runs(c_stencil, nt=nt, cuts=[0] + [n1 for _, n1 in windows])
+
+
+class TestRowLayout:
+    """The padded grid's arrays are rows ld = nx rounded up to 8 doubles
+    apart, with column HALO of every row on a 64-byte boundary, so the C
+    rows' vector loads and stores never split a cache line; the layout
+    changes no bit."""
+
+    # model widths whose padded widths take every residue mod 8
+    WIDTHS = range(21, 29)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_column_2_of_every_row_starts_a_cache_line(self, width):
+        model = make_layered_model(20, width, 10.0, 10.0, [1500.0])
+        prop = solver._Propagator(model, default_dt(model))
+        assert prop.ld % 8 == 0 and 0 <= prop.ld - prop.nx_pad < 8
+        adjoint = _stencil_py.Plan(4, prop.fields(), prop.coefficients, (None, None),
+                                   prop.interp_cells(((50.0, 30.0),)), data=np.zeros((4, 1)))
+        grids = {**dict(zip(("prv", "cur", "nxt"), prop.fields())), "vdt2": prop.vdt2,
+                 "mask": prop.mask, "ring": adjoint.ring}
+        for name, a in grids.items():
+            rows = len(a)
+            assert a.strides == (prop.ld * 8, 8), name
+            starts = a.ctypes.data + 8 * solver.HALO + 8 * prop.ld * np.arange(rows)
+            assert (starts % 64 == 0).all(), name
+        assert adjoint.c.ld == prop.ld and adjoint.ring.shape == (7, prop.ld)
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    def test_windows_bitwise_equal_on_every_residue(self, c_stencil, width):
+        # C in one window, in windows of 7 and one step at a time, and the
+        # NumPy fallback, forward and adjoint, with frames and image on
+        assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (7,)), shape=(20, width),
+                         noisy=True)
+
+    @staticmethod
+    def loop_cells(prop, positions):
+        """interp_cells as one position at a time in Python floats."""
+        m = prop.model
+        idx, wt = np.empty((len(positions), 4), dtype=np.intp), np.empty((len(positions), 4))
+        for k, (x, z) in enumerate(positions):
+            gz = (z - m.oz) / m.dz + prop.pad
+            gx = (x - m.ox) / m.dx + prop.pad
+            i0 = min(int(math.floor(gz)), prop.nz_pad - 2)
+            j0 = min(int(math.floor(gx)), prop.nx_pad - 2)
+            fz, fx = gz - i0, gx - j0
+            c = i0 * prop.ld + j0
+            idx[k] = (c, c + 1, c + prop.ld, c + prop.ld + 1)
+            wt[k] = ((1 - fz) * (1 - fx), (1 - fz) * fx, fz * (1 - fx), fz * fx)
+        return idx, wt
+
+    def test_interp_cells_match_a_loop_reference(self):
+        v = np.full((23, 27), 1500.0)
+        model = VelocityModel2D(23, 27, 7.5, 12.5, 12.25, -35.5, v)
+        prop = solver._Propagator(model, default_dt(model))
+        (x0, x1), (z0, z1) = model.extent_x, model.extent_z
+        rng = np.random.default_rng(5)
+        positions = [(x0, z0), (x1, z1), (x0, z1), (x1, z0), (0, 100), (100.0, 13)]
+        positions += [tuple(p) for p in rng.uniform((x0, z0), (x1, z1), (40, 2))]
+        idx, wt = prop.interp_cells(positions)
+        ref_idx, ref_wt = self.loop_cells(prop, positions)
+        assert idx.dtype == np.intp and idx.shape == wt.shape == (len(positions), 4)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(wt, ref_wt)
+        assert prop.interp_cells([])[0].shape == (0, 4)
+        with pytest.raises(ValueError, match=r"position \(x=-36, z=20\) outside the model extent"):
+            prop.interp_cells([(0.0, 20.0), (-36.0, 20.0), (x1 + 1, 20.0)])
 
 
 class TestBlobSerialization:
