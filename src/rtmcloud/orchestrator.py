@@ -10,7 +10,9 @@ Every process is started by ``fork`` from a parent that runs no thread of
 this package: the reducer's threads live inside the reduction process.  A
 worker therefore inherits the loaded numpy and kernel and starts its first
 shot within milliseconds, and every child is joined, so its resource usage
-reaches ``RUSAGE_CHILDREN``.
+reaches ``RUSAGE_CHILDREN``.  Before its first shot a worker builds one
+``ShotSetup``, all that its shots share, so each map job runs little but
+its three propagations.
 
 No child outlives the driver.  Each child closes the driver's ends of the
 pipes it inherited at fork, so only the driver holds them: a map worker
@@ -58,6 +60,7 @@ from .wavekernel import (
     default_dt,
     forward_model,
     frame_layout,
+    propagators,
     ricker,
     rtm_shot_image,
 )
@@ -164,32 +167,44 @@ def add_point_scatterer(
     return VelocityModel2D(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, v)
 
 
-def frames_buffer(config: PipelineConfig) -> np.ndarray:
-    """An uninitialised float32 array shaped for the source wavefield that
-    ``migrate_shot`` stores for any shot of ``config``."""
-    model, _, _, dt, nt = build_survey(config)
-    _, shape = frame_layout(model, ricker(config.wavelet.peak_frequency, dt, nt), nt)
-    return np.empty(shape, dtype=np.float32)
+class ShotSetup:
+    """What every shot of ``config`` shares, built once: the survey, the
+    wavelet, ``frames``, an uninitialised float32 buffer for the source
+    wavefield of any shot, and a propagator for each model, the two sharing
+    one mask and one set of fields.  A map worker builds one before its
+    first shot and passes it to each ``migrate_shot``; the shots run on it
+    one at a time."""
+
+    def __init__(self, config: PipelineConfig):
+        self.config = config
+        self.model, self.true_model, self.plans, self.dt, self.nt = build_survey(config)
+        self.wavelet = ricker(config.wavelet.peak_frequency, self.dt, self.nt)
+        self.frames = np.empty(frame_layout(self.model, self.wavelet, self.nt)[1],
+                               dtype=np.float32)
+        self.background, self.true = propagators((self.model, self.true_model), self.dt)
 
 
 def migrate_shot(config: PipelineConfig, shot_id: int, *,
-                 frames: np.ndarray | None = None) -> ImageGrid:
+                 setup: ShotSetup | None = None) -> ImageGrid:
     """Model synthetic data for one shot and migrate it (one map job).
 
-    The source wavefield goes into ``frames``, a ``frames_buffer(config)``
-    array, allocated here when not given.  A caller that runs many shots
-    passes one buffer to all of them; callers running at once need one each.
+    It runs on ``setup``, a ``ShotSetup(config)``, or on one built here.  A
+    caller that runs many shots passes one setup to all of them; callers
+    running at once need one each.
     """
-    model, true_model, plans, dt, nt = build_survey(config)
-    plan = plans[shot_id]
-    wavelet = ricker(config.wavelet.peak_frequency, dt, nt)
-    if frames is None:  # frames_buffer(config)'s array, from the survey built above
-        frames = np.empty(frame_layout(model, wavelet, nt)[1], dtype=np.float32)
-    rec_true = forward_model(true_model, plan.source, wavelet, plan.receivers, dt, nt, shot_id)
-    rec_bg = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, shot_id,
-                           frames=frames)  # the background run stores the source wavefield
+    if setup is None:
+        setup = ShotSetup(config)
+    elif setup.config != config:
+        raise ValueError("the shot setup was built for another config")
+    s, plan = setup, setup.plans[shot_id]
+    rec_true = forward_model(s.true_model, plan.source, s.wavelet, plan.receivers, s.dt, s.nt,
+                             shot_id, propagator=s.true)
+    # the background run stores the source wavefield
+    rec_bg = forward_model(s.model, plan.source, s.wavelet, plan.receivers, s.dt, s.nt, shot_id,
+                           frames=s.frames, propagator=s.background)
     observed = dataclasses.replace(rec_true, traces=rec_true.traces - rec_bg.traces)
-    return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
+    return rtm_shot_image(s.model, plan, observed, s.wavelet, frames=s.frames,
+                          propagator=s.background)
 
 
 # ---------------------------------------------------------------------------
@@ -214,12 +229,12 @@ def _map_worker(config: PipelineConfig, conn, done_dir: Path, inherited) -> None
     store = BlobStore(config.store_root())
     queue = FileQueue(config.queue_root())
     pid = os.getpid()
-    frames = frames_buffer(config)  # every shot's source wavefield, allocated once
+    setup = ShotSetup(config)  # what every shot shares, built before the first
     try:
         for shot_id, attempt in iter(conn.recv, None):
             try:
                 start = time.time()
-                image = migrate_shot(config, shot_id, frames=frames)
+                image = migrate_shot(config, shot_id, setup=setup)
                 blob_id = store.put_image(image.to_blob(leaf_count=1))
                 queue.enqueue(QueueMessage(blob_id=blob_id, leaf_count=1))
                 end = time.time()

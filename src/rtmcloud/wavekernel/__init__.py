@@ -22,6 +22,7 @@ from .solver import (
     default_dt,
     forward_model,
     frame_layout,
+    propagators,
     ricker,
     rtm_shot_image,
     stable_dt,
@@ -40,6 +41,7 @@ __all__ = [
     "default_dt",
     "forward_model",
     "frame_layout",
+    "propagators",
     "ricker",
     "rtm_shot_image",
     "stable_dt",

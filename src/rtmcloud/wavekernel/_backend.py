@@ -146,7 +146,8 @@ def _window(fn):
 
 class Kernel:
     """The library's windows, called as ``_stencil_py``'s are, on a plan; a
-    library whose ``Plan`` is not the size of ``CPlan`` is refused."""
+    library whose ``Plan`` is not the size of ``CPlan``, or whose Laplacian
+    coefficients are not ``_stencil_py``'s, is refused."""
 
     def __init__(self, path: str):
         self.__file__ = path
@@ -155,6 +156,11 @@ class Kernel:
         if lib.plan_size() != ctypes.sizeof(CPlan):
             raise ValueError(f"the library's Plan is {lib.plan_size()} bytes, "
                              f"_stencil_py.CPlan {ctypes.sizeof(CPlan)}")
+        table = (ctypes.c_double * 3)()
+        lib.stencil_coefficients(table)
+        if tuple(table) != _stencil_py.COEFFICIENTS:
+            raise ValueError(f"the library's coefficients are {tuple(table)}, "
+                             f"_stencil_py's {_stencil_py.COEFFICIENTS}")
         self.forward_window = _window(lib.forward_window)
         self.adjoint_window = _window(lib.adjoint_window)
         lib.kernel_isa.restype = ctypes.c_char_p

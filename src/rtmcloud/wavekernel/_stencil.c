@@ -36,25 +36,31 @@
  * with lines read back only by the adjoint, long after.
  *
  * Every grid array (the three fields, vdt2, mask and the adjoint's ring) is
- * rows of nx values that start ld values apart, ld >= nx: row i, column k
- * is a[i * ld + k], and a flat cell index is i * ld + k.  The columns from
- * nx to ld - 1 are dead: no step reads or writes them.  The solver pads ld
- * to a multiple of 8 doubles and places each array so that column 2, the
- * first a step writes, of every row starts on a 64-byte boundary; a row's
- * vector loads and stores then never split a cache line, which took a
- * quarter of the forward's time at the 145-wide default grid.  Any ld >= nx
- * gives the same values, only slower.
+ * rows of nx values that start ld values apart: row i, column k is
+ * a[i * ld + k], and a flat cell index is i * ld + k.  A step sweeps each
+ * row in whole blocks of 8 doubles from column 2, with no remainder loop
+ * (see the row helpers), so ld >= 8 * ceil((nx + 4) / 8), _stencil_py's
+ * row_stride (152 at the 145-wide default grid), and the array holds its
+ * last row's ld values whole.  The blocks run on past the interior into
+ * the right halo, which each row puts back as it was, and into the dead
+ * columns nx .. ld - 1, where the mask and vdt2 are zero: a step writes
+ * them, but never reads one into an interior cell.  The solver places each
+ * array so that column 2 of every row starts on a 64-byte boundary, with
+ * ld a multiple of 8, so every block is one cache line, which a row's
+ * vector loads and stores never split.  Any larger ld gives the same
+ * values, only slower.
  *
  * Plain C over raw pointers and sizes, called through ctypes.  Both windows
  * take one Plan, a propagation's arguments, which _stencil_py.Plan builds
  * once and mirrors field for field; _backend refuses a library whose
- * plan_size() differs from the mirror's.  The windows check nothing: the
- * plan was checked when it was built, so the grid arrays are nz rows of ld,
- * at least 5 x 5, the other arrays C-contiguous of the sizes it gives, cell
- * indices and the frame interior lie inside the nz x nx grid, every series
- * has nt rows, the frames one for each step from first on, 0 <= first <=
- * nt, and no array the windows write overlaps another; and each window has
- * 0 <= n0 <= n1 <= nt.
+ * plan_size() differs from the mirror's, or whose stencil_coefficients()
+ * differ from _stencil_py's, the one table.  The windows check nothing: the
+ * plan was checked when it was built, so the grid arrays are nz rows of ld
+ * as above, at least 5 x 5, the other arrays C-contiguous of the sizes it
+ * gives, cell indices and the frame interior lie inside the nz x nx grid,
+ * every series has nt rows, the frames one for each step from first on,
+ * 0 <= first <= nt, and no array the windows write overlaps another; and
+ * each window has 0 <= n0 <= n1 <= nt.
  *
  * On x86-64 ELF with glibc and GCC 12 or later, the two windows are built
  * three times, for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and baseline
@@ -93,6 +99,8 @@
 #define CLONED 0
 #endif
 
+/* The Laplacian's coefficients, which _backend checks against _stencil_py's
+ * table (stencil_coefficients below). */
 #define C0 (-2.5)
 #define C1 (4.0 / 3.0)
 #define C2 (-1.0 / 12.0)
@@ -106,7 +114,22 @@ INLINE double laplacian(double a2, double a1, const double *u, double b1, double
          + (C2 * (u[k - 2] + u[k + 2]) + C1 * (u[k - 1] + u[k + 1]) + C0 * u[k]) * inv_dx2;
 }
 
-/* Row helpers: each pointer is the start of one row of its field. */
+/* Row helpers: each pointer is the start of one row of its field.  A row
+ * is swept in whole blocks of BLOCK columns from column 2, the last block
+ * ending at sweep_end(nx) - 1, so no clone has a peel or remainder loop.
+ * The blocks cover the interior, columns 2 .. nx - 3, and run on into the
+ * right halo and the dead columns, where the mask and vdt2 are zero; the
+ * row's stride leaves room for the last block's reads two columns on (see
+ * _stencil_py.row_stride).  A dead column is never read into an interior
+ * cell, but the two right halo cells are, so each row puts back what they
+ * held: the halo is never stepped, as in the NumPy fallback. */
+
+#define BLOCK 8
+
+INLINE ptrdiff_t sweep_end(ptrdiff_t nx)
+{
+    return 2 + (nx - 4 + BLOCK - 1) / BLOCK * BLOCK;
+}
 
 /* nxt = mask*(2*cur - mask*prv + vdt2*lap(cur)); cur is a row of a whole
  * field, whose rows two either side the stencil reads. */
@@ -114,22 +137,29 @@ INLINE void forward_row(double *restrict nxt, const double *restrict cur, const 
                         const double *restrict vdt2, const double *restrict mask,
                         ptrdiff_t nx, ptrdiff_t ld, double inv_dz2, double inv_dx2)
 {
-    for (ptrdiff_t k = 2; k < nx - 2; k++)
-        nxt[k] = mask[k] * (2.0 * cur[k] - mask[k] * prv[k]
-                            + vdt2[k] * laplacian(cur[k - 2 * ld], cur[k - ld], cur, cur[k + ld],
-                                                  cur[k + 2 * ld], k, inv_dz2, inv_dx2));
+    double h0 = nxt[nx - 2], h1 = nxt[nx - 1];
+    for (ptrdiff_t kb = 2; kb < sweep_end(nx); kb += BLOCK)
+        for (ptrdiff_t k = kb; k < kb + BLOCK; k++)
+            nxt[k] = mask[k] * (2.0 * cur[k] - mask[k] * prv[k]
+                                + vdt2[k] * laplacian(cur[k - 2 * ld], cur[k - ld], cur, cur[k + ld],
+                                                      cur[k + 2 * ld], k, inv_dz2, inv_dx2));
+    nxt[nx - 2] = h0;
+    nxt[nx - 1] = h1;
 }
 
+/* w = vdt2*mask*cur, its halo +0.0 as the NumPy fallback's w plane holds. */
 INLINE void scale_row(double *restrict w, const double *restrict vdt2, const double *restrict mask,
                       const double *restrict cur, ptrdiff_t nx)
 {
-    for (ptrdiff_t k = 2; k < nx - 2; k++)
-        w[k] = vdt2[k] * mask[k] * cur[k];
+    for (ptrdiff_t kb = 2; kb < sweep_end(nx); kb += BLOCK)
+        for (ptrdiff_t k = kb; k < kb + BLOCK; k++)
+            w[k] = vdt2[k] * mask[k] * cur[k];
+    w[nx - 2] = w[nx - 1] = 0.0;
 }
 
 /* nxt = 2*(mask*cur) - mask*(mask*prv) + lap(w), where w[0..3] are the rows
  * of w two above to one below this one; the row two below, w2 =
- * vdt2_2*mask_2*cur_2, is computed here and stored. */
+ * vdt2_2*mask_2*cur_2, is computed here and stored, its halo +0.0. */
 INLINE void adjoint_row(double *restrict nxt, const double *restrict prv, const double *restrict cur,
                         const double *restrict mask, const double *const w[4],
                         double *restrict w2, const double *restrict vdt2_2,
@@ -137,12 +167,17 @@ INLINE void adjoint_row(double *restrict nxt, const double *restrict prv, const 
                         ptrdiff_t nx, double inv_dz2, double inv_dx2)
 {
     const double *restrict a2 = w[0], *restrict a1 = w[1], *restrict u = w[2], *restrict b1 = w[3];
-    for (ptrdiff_t k = 2; k < nx - 2; k++) {
-        double b2 = vdt2_2[k] * mask_2[k] * cur_2[k];
-        w2[k] = b2;
-        nxt[k] = 2.0 * (mask[k] * cur[k]) - mask[k] * (mask[k] * prv[k])
-               + laplacian(a2[k], a1[k], u, b1[k], b2, k, inv_dz2, inv_dx2);
-    }
+    double h0 = nxt[nx - 2], h1 = nxt[nx - 1];
+    for (ptrdiff_t kb = 2; kb < sweep_end(nx); kb += BLOCK)
+        for (ptrdiff_t k = kb; k < kb + BLOCK; k++) {
+            double b2 = vdt2_2[k] * mask_2[k] * cur_2[k];
+            w2[k] = b2;
+            nxt[k] = 2.0 * (mask[k] * cur[k]) - mask[k] * (mask[k] * prv[k])
+                   + laplacian(a2[k], a1[k], u, b1[k], b2, k, inv_dz2, inv_dx2);
+        }
+    w2[nx - 2] = w2[nx - 1] = 0.0;
+    nxt[nx - 2] = h0;
+    nxt[nx - 1] = h1;
 }
 
 INLINE void correlate_row(double *restrict image, const float *restrict frame,
@@ -218,6 +253,13 @@ typedef struct {
 size_t plan_size(void)
 {
     return sizeof(Plan);
+}
+
+void stencil_coefficients(double out[3])
+{
+    out[0] = C0;
+    out[1] = C1;
+    out[2] = C2;
 }
 
 /* ---- the forward window ---- */

@@ -1,9 +1,11 @@
 """Pure-NumPy time-window kernels, the reference for the compiled ones.
 
 Same contract as the C kernels in ``_stencil.c``: fourth-order Laplacian in
-space, leapfrog in time, sponge damping folded into the update.  Kernels
-only touch the interior (two-cell halo excluded), so halo cells act as a
-zero Dirichlet rim and stay zero for the whole run.
+space, leapfrog in time, sponge damping folded into the update.  The
+Laplacian's coefficients are ``COEFFICIENTS``, the one table: ``_backend``
+refuses a library whose own differ.  Kernels only step the interior
+(two-cell halo excluded), so halo cells act as a zero Dirichlet rim and
+stay zero for the whole run.
 
 A propagation is one ``Plan``, checked once, when it is built, so a bad
 argument raises ValueError with nothing stepped, whichever backend runs.
@@ -26,14 +28,18 @@ changes any value, so this module steps one at a time.
 The grid arrays, the three fields, ``vdt2`` and ``mask``, are nz x nx
 arrays whose rows may start further apart than nx values: ``ld``, the row
 stride in values, is the same for all five, and a flat cell index is
-``row * ld + column``.  ``aligned_grid`` makes them as the solver uses
-them: ``ld`` is nx rounded up to 8 doubles and column 2, the first column a
-step writes, of every row starts on a 64-byte boundary, so the compiled
-rows' vector loads and stores never split a cache line.  Each grid array is
-a view ``[:, :nx]`` of its ``(nz, ld)`` rows; the columns past nx are never
-read or written.  A plain C-contiguous array is the layout with ``ld ==
-nx``.  The NumPy windows step these views and index cells by (row, column),
-so any ``ld`` gives the same bits.
+``row * ld + column``.  The C windows sweep each row in whole blocks of 8
+doubles from column 2, on past the interior into the right halo, which
+each row puts back, and into the dead columns past nx, where the mask and
+``vdt2`` are zero; no dead column is read into an interior cell.  So ``ld``
+is at least ``row_stride(nx)``, 8 * ceil((nx + 4) / 8) (145 → 152), and
+each grid array views an array that holds its last row's ``ld`` values
+whole; a plan refuses any other.  ``aligned_grid`` makes them as the solver
+uses them: a view ``[:, :nx]`` of ``(nz, row_stride(nx))`` rows, column 2
+of each on a 64-byte boundary, so every block is one cache line, which the
+compiled rows' vector loads and stores never split.  The NumPy windows step
+these views and index cells by (row, column), never touching the dead
+columns, so any ``ld`` gives the same bits.
 
 The step kernels make no temporaries: every ufunc writes through ``out=``
 into the plan's scratch planes, and the result goes into the interior of
@@ -51,6 +57,8 @@ import numpy as np
 _C0 = -2.5
 _C1 = 4.0 / 3.0
 _C2 = -1.0 / 12.0
+# The one table: _backend refuses a library whose stencil_coefficients() differ.
+COEFFICIENTS = (_C0, _C1, _C2)
 _FLOAT64, _FLOAT32, _INTP = np.dtype(np.float64), np.dtype(np.float32), np.dtype(np.intp)
 _N, _P = ctypes.c_ssize_t, ctypes.c_void_p
 # Doubles in a 64-byte cache line, the width of one AVX-512 vector.
@@ -58,8 +66,9 @@ _LANE = 8
 
 
 def row_stride(nx):
-    """The row stride, in values, of ``aligned_grid``'s rows: nx rounded up to 8."""
-    return -(-nx // _LANE) * _LANE
+    """The row stride, in values, of ``aligned_grid``'s rows: nx + 4 rounded up
+    to 8, room for the C rows' last block of 8 and the two columns it reads on."""
+    return -(-(nx + 4) // _LANE) * _LANE
 
 
 def _rows(nz, ld):
@@ -77,10 +86,16 @@ def aligned_grid(nz, nx):
     return _rows(nz, row_stride(nx))[:, :nx]
 
 
-def _rows_apart(a):
-    """Whether the 2-D ``a`` is rows of contiguous values, at least a row apart."""
-    row, item = a.strides
-    return item == a.itemsize and row % item == 0 and row >= a.shape[1] * item
+def _whole_rows(a):
+    """Whether the 2-D ``a`` is rows of contiguous values at least
+    ``row_stride`` apart, viewing an array that holds its last row whole, ld
+    values: the C rows sweep whole blocks of 8 on past column nx - 1."""
+    (row, item), base = a.strides, a.base
+    if not (item == a.itemsize and row % item == 0 and row // item >= row_stride(a.shape[1])
+            and isinstance(base, np.ndarray)):
+        return False
+    offset = a.ctypes.data - base.ctypes.data
+    return 0 <= offset and offset + len(a) * row <= base.nbytes
 
 
 def _span(a):
@@ -133,9 +148,9 @@ class Plan:
 
         def take(a, name, ndim, written=False, dtype=_FLOAT64, grid=False):
             if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.ndim == ndim
-                    and (_rows_apart(a) if grid else a.flags.c_contiguous)):
+                    and (_whole_rows(a) if grid else a.flags.c_contiguous)):
                 kind = f"{ndim}-D {dtype} array"
-                raise ValueError(f"{name} must be a {kind} of contiguous rows" if grid
+                raise ValueError(f"{name} must be a {kind} of whole rows row_stride apart" if grid
                                  else f"{name} must be a C-contiguous {kind}")
             if written and not a.flags.writeable:
                 raise ValueError(f"{name} must be writable")

@@ -20,11 +20,21 @@ Here each propagation is set up as one checked ``Plan``; its time loop runs
 in the kernels' windows on that plan, one call per ``_FINITE_CHECK_EVERY``
 steps, with a finiteness check between.  The padded grid's arrays, the three
 fields, ``vdt2`` and ``mask``, come from ``aligned_grid``: nz x nx views of
-rows ``ld`` values apart, ``ld`` = nx rounded up to 8 doubles (145 → 152 at
-the default config), with column ``HALO`` of every row on a 64-byte
-boundary, and the cell indices ``interp_cells`` makes are ``row * ld +
-column``.  Only the kernels' speed sees the layout: the columns past nx are
-never read or written, and the frames and images are plain (nz, nx) arrays.
+rows ``ld`` values apart, ``ld`` = ``row_stride(nx)``, nx + 4 rounded up to
+8 doubles (145 → 152 at the default config), with column ``HALO`` of every
+row on a 64-byte boundary, and the cell indices ``interp_cells`` makes are
+``row * ld + column``.  The C rows sweep whole blocks of 8 from column
+``HALO``, on into the columns past nx, which they write but never read
+into an interior cell; no value depends on the layout, and the frames and
+images are plain (nz, nx) arrays.
+
+A ``_Propagator`` holds what a model's propagations share: ``vdt2``, the
+mask, the cell helpers and one set of fields, zeroed as each propagation
+starts.  ``forward_model`` and ``rtm_shot_image`` build one per call unless
+given one.  A map worker builds its two once, with ``propagators``, before
+its first shot: the true and background models share one mask, which
+depends on the grid's shape alone, and one set of fields, and every shot
+runs on them.
 
 The stored source wavefield lives in the caller's buffer, which
 ``forward_model`` fills and ``rtm_shot_image`` reads: the interior frames of
@@ -192,11 +202,14 @@ def ricker(peak_frequency: float, dt: float, nt: int) -> Wavelet:
 
 
 class _Propagator:
-    """Padded grid, damping profile, and interpolation helpers for one model.
+    """Padded grid, damping profile, interpolation helpers and the fields of
+    one model's propagations, which run one at a time.
 
-    Every grid array is an ``aligned_grid``: rows ``ld`` values apart."""
+    Every grid array is an ``aligned_grid``: rows ``ld`` values apart.  Built
+    ``like`` another propagator of the same grid shape, it shares that one's
+    mask and fields."""
 
-    def __init__(self, model: VelocityModel2D, dt: float):
+    def __init__(self, model: VelocityModel2D, dt: float, like: "_Propagator | None" = None):
         limit = stable_dt(model)
         if dt > limit:
             raise CFLViolationError(dt, limit)
@@ -209,9 +222,18 @@ class _Propagator:
         self.nx_pad = model.nx + 2 * self.pad
         self.ld = row_stride(self.nx_pad)
 
-        self.vdt2, self.mask = self.grid(), self.grid()
+        self.vdt2 = self.grid()
         self.vdt2[:] = (np.pad(model.v, self.pad, mode="edge") * dt) ** 2
-        self.mask[:] = np.outer(self._sponge_taper(self.nz_pad), self._sponge_taper(self.nx_pad))
+        if like is None:
+            self.mask = self.grid()
+            self.mask[:] = np.outer(self._sponge_taper(self.nz_pad),
+                                    self._sponge_taper(self.nx_pad))
+            self._fields = tuple(self.grid() for _ in range(3))
+        elif like.vdt2.shape == self.vdt2.shape:
+            self.mask, self._fields = like.mask, like._fields
+        else:
+            raise ValueError(f"a {self.nz_pad} x {self.nx_pad} grid cannot share the "
+                             f"{like.nz_pad} x {like.nx_pad} grid's mask and fields")
         self.inv_dz2 = 1.0 / model.dz**2
         self.inv_dx2 = 1.0 / model.dx**2
         self.coefficients = (self.vdt2, self.mask, self.inv_dz2, self.inv_dx2)
@@ -254,8 +276,26 @@ class _Propagator:
     def grid(self) -> np.ndarray:  # a zero array of the padded grid, rows ld apart
         return aligned_grid(self.nz_pad, self.nx_pad)
 
-    def fields(self) -> tuple:  # a propagation's (prv, cur, nxt), all zero
-        return tuple(self.grid() for _ in range(3))
+    def fields(self) -> tuple:
+        """A propagation's (prv, cur, nxt): this propagator's buffers, zeroed."""
+        for f in self._fields:
+            f.fill(0.0)
+        return self._fields
+
+    def check(self, model: VelocityModel2D, dt: float) -> "_Propagator":
+        """Itself; ValueError unless it was built for ``model`` and ``dt``."""
+        if self.model is not model or self.dt != dt:
+            raise ValueError("the propagator was built for another model or dt")
+        return self
+
+
+def propagators(models, dt: float) -> list:
+    """A propagator for each of ``models``, all of one shape, for steps of
+    ``dt``; they share one mask and one set of fields, for a caller that
+    runs one propagation at a time, as a map worker does.  Pass each to
+    ``forward_model`` and ``rtm_shot_image`` with its model."""
+    first = _Propagator(models[0], dt)
+    return [first, *(_Propagator(m, dt, like=first) for m in models[1:])]
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -353,14 +393,17 @@ def forward_model(
     shot_id: int = 0,
     *,
     frames: np.ndarray | None = None,
+    propagator: _Propagator | None = None,
 ) -> ShotRecord:
     """Model one shot; returns its receiver traces.  Given ``frames``, the
     caller's buffer shaped ``frame_layout(model, wavelet, nt)[1]``, it also
-    writes there the stored source wavefield that ``rtm_shot_image`` reads."""
+    writes there the stored source wavefield that ``rtm_shot_image`` reads.
+    It runs on ``propagator``, one of ``propagators`` built for ``model``
+    and ``dt``, or on one built here."""
     if abs(wavelet.dt - dt) > 1e-15:
         raise ValueError(f"wavelet dt {wavelet.dt:g} != simulation dt {dt:g}")
     first = 0 if frames is None else _first_frame(model, wavelet, nt, frames)
-    prop = _Propagator(model, dt)
+    prop = _Propagator(model, dt) if propagator is None else propagator.check(model, dt)
     traces = _run_forward(prop, source, wavelet.samples, receivers, nt, frames, first)
     return ShotRecord(shot_id, tuple(receivers), dt, nt, traces)
 
@@ -372,6 +415,7 @@ def rtm_shot_image(
     wavelet: Wavelet,
     *,
     frames: np.ndarray,
+    propagator: _Propagator | None = None,
 ) -> ImageGrid:
     """Migrate one shot: zero-lag cross-correlation of source and adjoint fields.
 
@@ -381,13 +425,15 @@ def rtm_shot_image(
     ``frames`` is the caller's buffer that ``forward_model`` filled for this
     model, plan and wavelet, read as it is, never copied.  When the wavelet
     is active up to the last step, it has no row and the image is zero.
+    ``propagator`` is as ``forward_model`` takes it.
     """
     if tuple(observed.receivers) != tuple(plan.receivers):
         raise ValueError("observed record receivers do not match the shot plan")
     if abs(wavelet.dt - observed.dt) > 1e-15:
         raise ValueError("wavelet dt does not match the observed record dt")
     first = _first_frame(model, wavelet, observed.nt, frames)
-    prop = _Propagator(model, observed.dt)
+    prop = (_Propagator(model, observed.dt) if propagator is None
+            else propagator.check(model, observed.dt))
     _, image = _run_adjoint(prop, plan.receivers, observed.traces, frames=frames,
                             first_frame=first)
     return ImageGrid(model.nz, model.nx, model.dz, model.dx, model.oz, model.ox, image)
@@ -427,6 +473,7 @@ __all__ = [
     "ricker",
     "forward_model",
     "frame_layout",
+    "propagators",
     "rtm_shot_image",
     "adjoint_dot_test",
     "backend_name",

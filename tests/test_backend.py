@@ -166,11 +166,15 @@ def test_kernel_builds_without_warnings(tmp_path):
 
 
 def test_plan_struct_mirrors_the_library(built_kernel):
-    """The C windows read a plan through ``CPlan``: both sides give one size."""
+    """The C windows read a plan through ``CPlan``: both sides give one size,
+    and one table of Laplacian coefficients."""
     _backend.Kernel(str(built_kernel))
     lib = ctypes.CDLL(str(built_kernel))
     lib.plan_size.restype = ctypes.c_size_t
     assert lib.plan_size() == ctypes.sizeof(_stencil_py.CPlan)
+    table = (ctypes.c_double * 3)()
+    lib.stencil_coefficients(table)
+    assert tuple(table) == _stencil_py.COEFFICIENTS == (-2.5, 4.0 / 3.0, -1.0 / 12.0)
 
 
 def test_plan_size_mismatch_falls_back_with_reason(tmp_path):
@@ -187,6 +191,22 @@ def test_plan_size_mismatch_falls_back_with_reason(tmp_path):
     assert name == "python"
     assert reason == (f"ValueError: the library's Plan is {size + ctypes.sizeof(ctypes.c_void_p)}"
                       f" bytes, _stencil_py.CPlan {size}")
+
+
+def test_coefficient_mismatch_falls_back_naming_both_tables(tmp_path):
+    """A library whose Laplacian differs from the fallback's is refused at load."""
+    tree = tmp_path / "src"
+    shutil.copytree(SRC / "rtmcloud", tree / "rtmcloud",
+                    ignore=shutil.ignore_patterns("__pycache__", "*.so"))
+    source = tree / "rtmcloud" / "wavekernel" / "_stencil.c"
+    text = source.read_text()
+    assert text.count("#define C2 (-1.0 / 12.0)") == 1
+    source.write_text(text.replace("#define C2 (-1.0 / 12.0)", "#define C2 (-1.0 / 16.0)"))
+    name, reason, _ = probe(tmp_path, src=tree)
+    table = _stencil_py.COEFFICIENTS
+    assert name == "python"
+    assert reason == (f"ValueError: the library's coefficients are {(*table[:2], -1.0 / 16.0)}, "
+                      f"_stencil_py's {table}")
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707])

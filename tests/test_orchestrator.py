@@ -465,7 +465,7 @@ def shot_runs(tmp_path_factory):
                    for m in (true_model, model)]
         observed = dataclasses.replace(records[0], traces=records[0].traces - records[1].traces)
         # the background again, this time storing the source wavefield
-        frames = orchestrator.frames_buffer(cfg)
+        frames = orchestrator.ShotSetup(cfg).frames
         forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, frames=frames)
         return rtm_shot_image(model, plan, observed, wavelet, frames=frames)
 
@@ -494,7 +494,8 @@ class TestMigrateShot:
 
     @pytest.mark.parametrize("backend", ["c", "python"])
     def test_reused_buffer_gives_the_same_images(self, tmp_path, monkeypatch, backend):
-        # as a map worker runs its shots: one buffer, any order, repeats too
+        # as a map worker runs its shots: one ShotSetup, whose survey, frames
+        # buffer and propagators are built once, for any shots in any order
         if backend == "c":
             impl, reason = _backend.load_stencil()
             if reason == _backend.NO_COMPILER:
@@ -508,12 +509,32 @@ class TestMigrateShot:
         data["survey"].update(record_time=0.6)
         cfg = config_from_dict(data)
         fresh = {shot: orchestrator.migrate_shot(cfg, shot).values for shot in range(8)}
-        buf = orchestrator.frames_buffer(cfg)
-        buf.fill(np.nan)  # a row the forward window misses would poison the image
+
+        builds = Counter()
+        for owner, attr, name in ((orchestrator, "build_survey", "survey"),
+                                  (solver._Propagator, "__init__", "propagator")):
+            def counted(*args, _f=getattr(owner, attr), _name=name, **kw):
+                builds[_name] += 1
+                return _f(*args, **kw)
+            monkeypatch.setattr(owner, attr, counted)
+        setup = orchestrator.ShotSetup(cfg)
+        assert builds == {"survey": 1, "propagator": 2}  # one propagator per model
+        # NaN where a shot could read what the last one left: a frame row the
+        # forward window misses, or a field cell it reads before writing
+        setup.frames.fill(np.nan)
+        for f in setup.background.fields():
+            f.base.fill(np.nan)
         for shot in [*range(8), 3, 0]:
-            image = orchestrator.migrate_shot(cfg, shot, frames=buf).values
+            image = orchestrator.migrate_shot(cfg, shot, setup=setup).values
             assert np.abs(image).max() > 0
             np.testing.assert_array_equal(image, fresh[shot], err_msg=f"shot {shot}")
+        assert builds == {"survey": 1, "propagator": 2}  # and none for any shot
+
+    def test_setup_of_another_config_refused(self, tmp_path):
+        setup = orchestrator.ShotSetup(tiny_config(tmp_path))
+        other = tiny_config(tmp_path, n_shots=3)
+        with pytest.raises(ValueError, match="another config"):
+            orchestrator.migrate_shot(other, 0, setup=setup)
 
 
 def test_default_frames_buffer_is_float32():
@@ -521,7 +542,7 @@ def test_default_frames_buffer_is_float32():
     cfg = PipelineConfig()
     model, _, _, dt, nt = orchestrator.build_survey(cfg)
     first, _ = solver.frame_layout(model, ricker(cfg.wavelet.peak_frequency, dt, nt), nt)
-    buf = orchestrator.frames_buffer(cfg)
+    buf = orchestrator.ShotSetup(cfg).frames
     assert buf.dtype == np.float32
     assert buf.nbytes == (nt - first) * model.nz * model.nx * 4 == 16_362_404
 
@@ -570,7 +591,7 @@ class TestStackLinearity:
         wavelet = ricker(cfg.wavelet.peak_frequency, dt, nt)
         stack1 = np.zeros((model.nz, model.nx))
         stack2 = np.zeros((model.nz, model.nx))
-        frames, frames2 = orchestrator.frames_buffer(cfg), orchestrator.frames_buffer(cfg)
+        frames, frames2 = orchestrator.ShotSetup(cfg).frames, orchestrator.ShotSetup(cfg).frames
         for plan in plans:
             rec = forward_model(model, plan.source, wavelet, plan.receivers, dt, nt, frames=frames)
             forward_model(model, plan.source, wavelet.scaled(2.0), plan.receivers, dt, nt,

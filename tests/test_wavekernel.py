@@ -62,6 +62,35 @@ def small_setup(nz=61, nx=61, v=1500.0, record_time=0.8):
     return model, source, receivers, wavelet, dt, nt
 
 
+class TestPropagators:
+    def test_shared_propagators_give_the_same_bits(self):
+        # two models on one grid, one mask and one set of fields between
+        # them, against a propagator built in each call
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        v = model.v.copy()
+        v[28:33, 28:33] *= 1.1
+        other = dataclasses.replace(model, v=v)
+        shared = solver.propagators((model, other), dt)
+        assert shared[0].mask is shared[1].mask and shared[0].fields() is shared[1].fields()
+        for m, prop in ((model, shared[0]), (other, shared[1]), (model, shared[0])):
+            own = forward_model(m, source, wavelet, receivers, dt, nt)
+            on = forward_model(m, source, wavelet, receivers, dt, nt, propagator=prop)
+            assert np.abs(own.traces).max() > 0
+            assert_same_bytes(own.traces, on.traces, "traces")
+
+    def test_propagator_of_another_model_or_dt_refused(self):
+        model, source, receivers, wavelet, dt, nt = small_setup()
+        for prop in (solver.propagators((dataclasses.replace(model),), dt)[0],
+                     solver.propagators((model,), dt / 2)[0]):
+            with pytest.raises(ValueError, match="another model or dt"):
+                forward_model(model, source, wavelet, receivers, dt, nt, propagator=prop)
+
+    def test_grids_of_two_shapes_share_nothing(self):
+        model, dt = small_setup()[0], small_setup()[4]
+        with pytest.raises(ValueError, match="cannot share"):
+            solver.propagators((model, small_setup(nz=41)[0]), dt)
+
+
 class TestForwardModel:
     def test_zero_wavelet_gives_zero_traces(self):
         model, source, receivers, wavelet, dt, nt = small_setup()
@@ -418,7 +447,7 @@ SERIES = ("q", "traces", "data", "q_star", "frames", "image")
 
 
 def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_rows=None,
-                rec_rows=None):
+                rec_rows=None, src_col=None):
     """Plan and window arguments on a small model, forward and adjoint, every
     output on; ``make_plan`` builds a plan from either and ``n0``, ``n1`` are
     the window [0, nt).
@@ -432,7 +461,8 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
     Both windows take ``first_frame = first``, by default ``nt // 3 + 1``,
     so the frames hold the steps from there on.  ``src_rows`` (top, bottom)
     puts the source's cells in those rows of the padded grid, halo rows
-    included, and ``rec_rows`` adds one receiver over rows (r, r + 1) for
+    included, in columns ``src_col`` and ``src_col + 1`` (by default the
+    middle two), and ``rec_rows`` adds one receiver over rows (r, r + 1) for
     each r in it, every one in the same two columns.
     """
     model = make_layered_model(*shape, 10.0, 10.0, [1500.0, 2200.0])
@@ -448,7 +478,7 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
                         dtype=np.intp)
 
     if src_rows is not None:
-        src_idx = cells(*src_rows, prop.nx_pad // 2)
+        src_idx = cells(*src_rows, prop.nx_pad // 2 if src_col is None else src_col)
         src_w = rng.uniform(0.01, 0.05, src_idx.shape)
     if rec_rows is not None:
         extra = np.concatenate([cells(r, r + 1, 40) for r in rec_rows])
@@ -459,10 +489,12 @@ def window_case(nt=150, seed=3, shape=(20, 24), noisy=False, first=None, src_row
     common = dict(nt=nt, n0=0, n1=nt, vdt2=prop.vdt2, mask=prop.mask, inv_dz2=prop.inv_dz2,
                   inv_dx2=prop.inv_dx2, src_idx=src_idx, src_w=src_w, rec_idx=rec_idx,
                   rec_w=rec_w, first_frame=first, pad=prop.pad)
-    forward = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
+    # each plan its own fields: prop.fields() would hand both the same buffers
+    fields = lambda: dict(zip(("prv", "cur", "nxt"), (prop.grid() for _ in range(3))))  # noqa: E731
+    forward = dict(common, **fields(),
                    q=rng.standard_normal(nt), traces=np.zeros((nt, len(receivers))),
                    frames=np.zeros((nt - first, model.nz, model.nx), dtype=np.float32))
-    adjoint = dict(common, **dict(zip(("prv", "cur", "nxt"), prop.fields())),
+    adjoint = dict(common, **fields(),
                    data=rng.standard_normal((nt, len(receivers))), q_star=np.zeros(nt),
                    frames=rng.standard_normal((nt - first, model.nz, model.nx),
                                               dtype=np.float32),
@@ -504,6 +536,15 @@ def _truncated(key):
     return key, lambda a: a[key][:-1].copy()
 
 
+def _last_row_cut(a):
+    """The mask in rows of its stride, in a buffer that ends with the last
+    row's nx values: the C rows' whole blocks would run past it."""
+    (nz, nx), (row, _) = a["mask"].shape, a["mask"].strides
+    cut = np.ndarray((nz, nx), buffer=np.zeros((nz - 1) * row // 8 + nx), strides=(row, 8))
+    cut[:] = a["mask"]
+    return cut
+
+
 # One argument made bad, per case: a plan argument, which building the plan
 # refuses, or a window bound, which both backends' windows refuse.
 BAD_WINDOW_ARGS = pytest.mark.parametrize(
@@ -512,6 +553,8 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         ("mask", lambda a: a["mask"].astype(np.float32)),
         ("mask", lambda a: np.repeat(a["mask"], 2, axis=1)[:, ::2]),
         ("mask", lambda a: a["mask"][:, :-1].copy()),
+        ("mask", lambda a: a["mask"].copy()),
+        ("mask", _last_row_cut),
         ("nxt", lambda a: a["cur"]),
         ("rec_idx", lambda a: a["rec_idx"].astype(np.int32)),
         # row nz, column 0: the first index past the grid's rows, ld apart
@@ -540,7 +583,8 @@ BAD_WINDOW_ARGS = pytest.mark.parametrize(
         ("inv_dx2", lambda a: str(a["inv_dx2"])),
     ],
     # first_frame replaced image_skip_until (first_frame - 1): "skip" ids are its cases
-    ids=["float32", "non_contiguous", "shape_mismatch", "aliased_fields", "index_int32",
+    ids=["float32", "non_contiguous", "shape_mismatch", "stride_short", "last_row_cut",
+         "aliased_fields", "index_int32",
          "cell_past_grid", "cell_in_dead_column", "cell_negative", "n1_past_q", "n1_past_data",
          "n1_past_traces", "n1_past_frames", "n1_past_q_star", "n0_past_n1", "n1_past_plan",
          "read_only_traces", "frames_without_image", "image_not_frame_shaped",
@@ -671,7 +715,7 @@ class TestBackendParity:
     def test_grid_without_interior_rejected(self, shape):
         for args in window_case(nt=8):
             for name in ("prv", "cur", "nxt", "vdt2", "mask"):
-                args[name] = np.zeros(shape)
+                args[name] = _stencil_py.aligned_grid(*shape)
             with pytest.raises(ValueError, match="no interior"):
                 make_plan(args)
 
@@ -685,16 +729,25 @@ def length_cuts(nt, lengths):
             return cuts
 
 
+def assert_same_bytes(a, b, err_msg):
+    """Equal values and equal bytes: +0.0 and -0.0 differ, as equal values
+    they do not."""
+    np.testing.assert_array_equal(a, b, err_msg=err_msg)
+    assert a.tobytes() == b.tobytes(), err_msg
+
+
 def assert_same_runs(impl, nt=150, cuts=None, dead=(), **case):
     """``impl`` stepping [0, nt) in one window, in windows cut at ``cuts`` and
     one step per window, and the fallback in one window, all give the same
-    bits; every output and field is live but those named in ``dead``."""
+    bytes, halo included; every output and field is live but those named in
+    ``dead``.  Returns the first run's."""
     runs = [run_windows(impl, nt=nt, **case), run_windows(impl, nt=nt, cuts=cuts, **case),
             run_windows(impl, 1, nt=nt, **case), run_windows(_stencil_py, nt=nt, **case)]
     for k in runs[0]:
         assert (np.abs(runs[0][k]).max() > 0) != (k in dead), k
         for other in runs[1:]:
-            np.testing.assert_array_equal(runs[0][k], other[k], err_msg=k)
+            assert_same_bytes(runs[0][k], other[k], k)
+    return runs[0]
 
 
 # Rows of window_case's padded grid: 0, 1 and ROWS - 2, ROWS - 1 are halo.
@@ -761,7 +814,7 @@ class TestRowLayout:
     def test_column_2_of_every_row_starts_a_cache_line(self, width):
         model = make_layered_model(20, width, 10.0, 10.0, [1500.0])
         prop = solver._Propagator(model, default_dt(model))
-        assert prop.ld % 8 == 0 and 0 <= prop.ld - prop.nx_pad < 8
+        assert prop.ld == 8 * math.ceil((prop.nx_pad + 4) / 8)
         adjoint = _stencil_py.Plan(4, prop.fields(), prop.coefficients, (None, None),
                                    prop.interp_cells(((50.0, 30.0),)), data=np.zeros((4, 1)))
         grids = {**dict(zip(("prv", "cur", "nxt"), prop.fields())), "vdt2": prop.vdt2,
@@ -776,9 +829,48 @@ class TestRowLayout:
     @pytest.mark.parametrize("width", WIDTHS)
     def test_windows_bitwise_equal_on_every_residue(self, c_stencil, width):
         # C in one window, in windows of 7 and one step at a time, and the
-        # NumPy fallback, forward and adjoint, with frames and image on
+        # NumPy fallback, forward and adjoint, with frames, image and q_star
+        # on: the same bytes, and every field's halo +0.0, though the C rows'
+        # whole blocks run over the right halo
+        run = assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (7,)),
+                               shape=(20, width), noisy=True)
+        for k, f in run.items():
+            if k.startswith(("forward.", "adjoint.")):
+                halo = np.ones(f.shape, dtype=bool)
+                halo[2:-2, 2:-2] = False
+                assert not f[halo].view(np.uint64).any(), k  # +0.0 is all zero bits
+
+    # the levels the clones are built for, best first
+    LEVELS = ("x86-64-v4", "x86-64-v3", "default")
+
+    @pytest.mark.parametrize("level", LEVELS)
+    def test_each_level_gives_the_fallback_bytes_on_every_residue(self, c_stencil, tmp_path,
+                                                                   level):
+        # one plain build per level, -march choosing it, against the fallback;
+        # the loaded copy is the best level this CPU runs
+        if self.LEVELS.index(c_stencil.isa) > self.LEVELS.index(level):
+            pytest.skip(f"this CPU runs no {level} code")
+        path = str(tmp_path / f"{level}.so")
+        march = "" if level == "default" else f" -march={level}"
+        assert _backend._compile(path, _backend.CFLAGS + " -DDISPATCH=" + march) is None
+        kernel = _backend.Kernel(path)
+        for width in self.WIDTHS:
+            case = dict(nt=40, shape=(20, width), noisy=True)
+            c, py = run_windows(kernel, **case), run_windows(_stencil_py, **case)
+            for k in c:
+                assert_same_bytes(c[k], py[k], f"{k}, width {width}")
+
+    @pytest.mark.parametrize("width", WIDTHS)
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_source_in_halo_columns(self, c_stencil, side, width):
+        # The halo is never stepped, in either backend: what is injected
+        # there stays, and the interior next to it reads it.  The C rows'
+        # blocks, which run over the right halo at 7 of the 8 residues, put
+        # back what it held.
+        col = 0 if side == "left" else width + 2 * (solver.SPONGE_CELLS + solver.HALO) - 2
         assert_same_runs(c_stencil, nt=40, cuts=length_cuts(40, (7,)), shape=(20, width),
-                         noisy=True)
+                         noisy=True, src_rows=(ROWS // 2, ROWS // 2 + 1), src_col=col,
+                         dead=("q_star",))
 
     @staticmethod
     def loop_cells(prop, positions):
